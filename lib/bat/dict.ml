@@ -2,6 +2,8 @@ type t = { table : (string, int) Hashtbl.t; names : Str_col.t }
 
 let create () = { table = Hashtbl.create 64; names = Str_col.create () }
 
+let copy t = { table = Hashtbl.copy t.table; names = Str_col.of_array (Str_col.to_array t.names) }
+
 let intern t name =
   match Hashtbl.find_opt t.table name with
   | Some sym -> sym

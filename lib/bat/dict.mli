@@ -6,6 +6,10 @@ type t
 
 val create : unit -> t
 
+(** An independent copy: interning into it leaves [t] unchanged, and it
+    keeps every symbol [t] assigned. *)
+val copy : t -> t
+
 (** [intern t name] returns the symbol for [name], allocating one on first
     sight. *)
 val intern : t -> string -> int

@@ -26,6 +26,17 @@ let of_array a = { data = Array.copy a; len = Array.length a }
 
 let to_array t = Array.sub t.data 0 t.len
 
+let splice t ~pos ~drop ins =
+  if pos < 0 || drop < 0 || pos + drop > t.len then
+    invalid_arg
+      (Printf.sprintf "Str_col.splice: range [%d,%d) out of bounds [0,%d)" pos (pos + drop) t.len);
+  let len = t.len - drop + ins.len in
+  let data = Array.make (max len 1) "" in
+  Array.blit t.data 0 data 0 pos;
+  Array.blit ins.data 0 data pos ins.len;
+  Array.blit t.data (pos + drop) data (pos + ins.len) (t.len - pos - drop);
+  { data; len }
+
 let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)

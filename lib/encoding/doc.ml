@@ -298,6 +298,8 @@ let size_array t = t.size
 
 let parent_array t = t.parent
 
+let content_array t = t.content
+
 let size_lower_bound t pre =
   check t pre "size_lower_bound";
   t.post.(pre) - pre
@@ -428,7 +430,15 @@ let validate t =
         seen.(p) <- true;
         if t.pre_of_post.(p) <> pre then fail "pre_of_post inconsistent at post %d" p)
       t.post;
+    (* text slots are dense and in pre order: the column splice of
+       [Internal.splice] locates a row's slot range by that order *)
+    let next_slot = ref 0 in
     for pre = 0 to n - 1 do
+      let slot = t.content.(pre) in
+      if slot >= 0 then begin
+        if slot <> !next_slot then fail "text slot %d out of pre order at pre %d" slot pre;
+        incr next_slot
+      end;
       (* Equation (1), exactly *)
       if t.size.(pre) <> t.post.(pre) - pre + t.level.(pre) then
         fail "Equation (1) violated at pre %d" pre;
@@ -454,26 +464,38 @@ let validate t =
       | Pi -> if t.size.(pre) <> 0 then fail "pi %d has children" pre
       | Element -> if t.tag.(pre) < 0 then fail "element %d lacks a tag" pre)
     done;
+    if !next_slot <> Str_col.length t.texts then
+      fail "text column holds %d slot(s), rows reference %d" (Str_col.length t.texts) !next_slot;
     Ok ()
   with Bad msg -> Error msg
 
+(* Columns derived from size/level/kind: post by Equation (1), its
+   inverse permutation, and the attribute prefix sums. *)
+let derived ~size ~level ~kind =
+  let n = Array.length size in
+  let post = Array.make n 0 and pre_of_post = Array.make n 0 in
+  for pre = 0 to n - 1 do
+    let p = size.(pre) + pre - level.(pre) in
+    post.(pre) <- p;
+    if p >= 0 && p < n then pre_of_post.(p) <- pre
+  done;
+  (post, pre_of_post, make_attr_prefix kind n)
+
+(* [old[0, at)] ++ [mid] ++ [old[at + drop, n)], one allocation *)
+let splice_col old ~at ~drop mid =
+  let n = Array.length old and k = Array.length mid in
+  let col = Array.make (n - drop + k) old.(0) in
+  Array.blit old 0 col 0 at;
+  Array.blit mid 0 col at k;
+  Array.blit old (at + drop) col (at + k) (n - at - drop);
+  col
+
 module Internal = struct
-  let assemble ?seed_names ~post ~level ~parent ~kind ~tags ~contents ~height () =
+  let assemble ~post ~level ~parent ~kind ~tags ~contents ~height () =
     let n = Array.length post in
     let names = Dict.create () in
-    (* seeding keeps symbol ids stable across renditions so structures
-       caching interned tags (the B+-tree index values) stay valid for
-       rows the splice did not touch *)
-    (match seed_names with
-    | None -> ()
-    | Some d ->
-      for sym = 0 to Dict.size d - 1 do
-        ignore (Dict.intern names (Dict.name d sym))
-      done);
     let texts = Str_col.create ~capacity:(max 16 (n / 4)) () in
-    let tag =
-      Array.mapi (fun _ name -> match name with None -> -1 | Some s -> Dict.intern names s) tags
-    in
+    let tag = Array.map (function None -> -1 | Some s -> Dict.intern names s) tags in
     let content =
       Array.map (function None -> -1 | Some s -> Str_col.append texts s) contents
     in
@@ -494,6 +516,115 @@ module Internal = struct
       pre_of_post;
       attr_prefix = make_attr_prefix kind n;
     }
+
+  (* Text slots are dense and in pre order, so the rows [at, at + drop)
+     own the slot range [first, first + count): [first] is the slot of
+     the first text-bearing row at or after [at]. *)
+  let slot_range t ~at ~drop =
+    let n = n_nodes t in
+    let rec first pre =
+      if pre >= n then Str_col.length t.texts
+      else if t.content.(pre) >= 0 then t.content.(pre)
+      else first (pre + 1)
+    in
+    let count = ref 0 in
+    for pre = at to at + drop - 1 do
+      if t.content.(pre) >= 0 then incr count
+    done;
+    (first at, !count)
+
+  (* the rows a delete splices in; read, never written *)
+  let no_rows =
+    {
+      post = [||];
+      level = [||];
+      parent = [||];
+      size = [||];
+      kind = [||];
+      tag = [||];
+      content = [||];
+      names = Dict.create ();
+      texts = Str_col.create ();
+      height = 0;
+      pre_of_post = [||];
+      attr_prefix = [| 0 |];
+    }
+
+  let splice t ~at ~drop ~parent:p ~fragment =
+    let fragment = Option.value fragment ~default:no_rows in
+    let n = n_nodes t in
+    let k = n_nodes fragment in
+    let delta = k - drop in
+    let base_level = t.level.(p) + 1 in
+    (* names: only the fragment's are interned, into a copy seeded with
+       every symbol of [t] so untouched rows keep their tag ids *)
+    let names = Dict.copy t.names in
+    let sym =
+      Array.init (Dict.size fragment.names) (fun s ->
+          Dict.intern names (Dict.name fragment.names s))
+    in
+    let slot0, slots_dropped = slot_range t ~at ~drop in
+    let slot_shift = Str_col.length fragment.texts - slots_dropped in
+    let level = splice_col t.level ~at ~drop (Array.map (fun l -> l + base_level) fragment.level) in
+    let kind = splice_col t.kind ~at ~drop fragment.kind in
+    let tag =
+      splice_col t.tag ~at ~drop (Array.map (fun s -> if s < 0 then s else sym.(s)) fragment.tag)
+    in
+    let content =
+      splice_col t.content ~at ~drop
+        (Array.map (fun c -> if c < 0 then c else c + slot0) fragment.content)
+    in
+    let parent =
+      splice_col t.parent ~at ~drop
+        (Array.map (fun q -> if q < 0 then p else q + at) fragment.parent)
+    in
+    let size = splice_col t.size ~at ~drop fragment.size in
+    (* the suffix shifts by [delta]: parents beyond the splice point and
+       text slots; levels, kinds, tags and sizes are rank-free *)
+    for i = at + k to n + delta - 1 do
+      let q = parent.(i) in
+      if q >= at then parent.(i) <- q + delta;
+      let c = content.(i) in
+      if c >= 0 then content.(i) <- c + slot_shift
+    done;
+    (* only the ancestors of the splice point change size *)
+    let rec bump v =
+      if v >= 0 then begin
+        size.(v) <- size.(v) + delta;
+        bump parent.(v)
+      end
+    in
+    bump p;
+    let post, pre_of_post, attr_prefix = derived ~size ~level ~kind in
+    (* a delete can lower the tree: recompute the height in one pass *)
+    let height =
+      if drop = 0 then max t.height (base_level + fragment.height)
+      else begin
+        let h = ref 0 in
+        Array.iter (fun l -> if l > !h then h := l) level;
+        !h
+      end
+    in
+    {
+      post;
+      level;
+      parent;
+      size;
+      kind;
+      tag;
+      content;
+      names;
+      texts = Str_col.splice t.texts ~pos:slot0 ~drop:slots_dropped fragment.texts;
+      height;
+      pre_of_post;
+      attr_prefix;
+    }
+
+  let retag t ~pre ~name =
+    let names = Dict.copy t.names in
+    let tag = Array.copy t.tag in
+    tag.(pre) <- Dict.intern names name;
+    { t with tag; names }
 end
 
 let pp_table ppf t =

@@ -115,6 +115,10 @@ val size_array : t -> int array
 
 val parent_array : t -> int array
 
+(** Text heap slot per row, [-1] for none.  Slots are dense and in pre
+    order. *)
+val content_array : t -> int array
+
 (** {1 Arithmetic from Equation (1)} *)
 
 (** Guaranteed descendants immediately following [v] in preorder:
@@ -172,14 +176,12 @@ val pp_table : Format.formatter -> t -> unit
 
 (**/**)
 
-(** For {!Codec} and {!Update} only: reassemble a document from raw
-    columns.  Subtree sizes are recomputed from Equation (1); callers
-    should {!validate}.  [seed_names] pre-interns another document's
-    dictionary in symbol order, keeping symbol ids stable across
-    renditions of the same document. *)
+(** For {!Codec}, the store and {!Update} only. *)
 module Internal : sig
+  (** Reassemble a document from raw per-row columns (the codec and
+      store decoders).  Subtree sizes are recomputed from Equation (1);
+      callers should {!validate}. *)
   val assemble :
-    ?seed_names:Scj_bat.Dict.t ->
     post:int array ->
     level:int array ->
     parent:int array ->
@@ -189,4 +191,22 @@ module Internal : sig
     height:int ->
     unit ->
     t
+
+  (** [splice t ~at ~drop ~parent ~fragment] replaces the [drop] rows
+      from pre rank [at] (a whole subtree, or none) with the rows of
+      [fragment] (none when absent), whose root becomes a child of
+      [parent].  Every column is a blit of [t]'s prefix and suffix
+      around the fragment's rows: the suffix shifts its parents and text
+      slots, the ancestors from [parent] up change their size, and post,
+      its inverse and the attribute prefix sums are derived in plain
+      loops.  Only the fragment's names are interned, into a copy of
+      [t]'s dictionary, so every symbol of [t] keeps its id.  [t] is not
+      modified.  The caller checks the arguments and should
+      {!validate} the result. *)
+  val splice : t -> at:int -> drop:int -> parent:int -> fragment:t option -> t
+
+  (** [retag t ~pre ~name] is [t] with row [pre] named [name]: a fresh
+      tag column and dictionary copy; every other column is shared
+      with [t]. *)
+  val retag : t -> pre:int -> name:string -> t
 end

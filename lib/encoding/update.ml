@@ -16,21 +16,12 @@ let op_to_string = function
   | Delete { pre } -> Printf.sprintf "delete(pre=%d)" pre
   | Rename { pre; name } -> Printf.sprintf "rename(pre=%d, %s)" pre name
 
-let ancestors doc pre =
-  let rec up acc v = if v < 0 then List.rev acc else up (v :: acc) (Doc.parent doc v) in
-  up [] (Doc.parent doc pre)
-
 let fail fmt = Format.kasprintf (fun s -> Error (Error.Validation s)) fmt
 
-(* Rebuild a document from freshly spliced columns.  [size] is
-   authoritative here; [post] is derived via Equation (1), and
-   [Doc.validate] double-checks the whole encoding before the rendition
-   is allowed to escape. *)
-let reassemble ~seed_names ~level ~parent ~kind ~tags ~contents ~size ~height =
-  let post = Array.init (Array.length size) (fun pre -> size.(pre) + pre - level.(pre)) in
-  let doc = Doc.Internal.assemble ~seed_names ~post ~level ~parent ~kind ~tags ~contents ~height () in
+(* Every rendition passes the full encoding check before it escapes. *)
+let validated doc ~splice ~delta =
   match Doc.validate doc with
-  | Ok () -> Ok doc
+  | Ok () -> Ok { doc; splice; delta }
   | Error msg -> Error (Error.Validation ("mutation broke the encoding: " ^ msg))
 
 let insert doc ~parent:p ~before ~fragment =
@@ -53,102 +44,20 @@ let insert doc ~parent:p ~before ~fragment =
     match pos_result with
     | Error _ as e -> e
     | Ok pos ->
-      let frag = Doc.of_tree fragment in
-      let k = Doc.n_nodes frag in
-      let m = n + k in
-      let level = Array.make m 0
-      and parent = Array.make m 0
-      and kind = Array.make m Doc.Element
-      and tags = Array.make m None
-      and contents = Array.make m None
-      and size = Array.make m 0 in
-      let old_level = Doc.level_array doc
-      and old_parent = Doc.parent_array doc
-      and old_kind = Doc.kind_array doc
-      and old_size = Doc.size_array doc in
-      (* rows before the splice keep rank; ancestors of the insertion
-         point grow by [k] *)
-      let bumped = Array.make pos false in
-      List.iter (fun a -> bumped.(a) <- true) (p :: ancestors doc p);
-      for i = 0 to pos - 1 do
-        level.(i) <- old_level.(i);
-        parent.(i) <- old_parent.(i);
-        kind.(i) <- old_kind.(i);
-        tags.(i) <- Doc.tag_name doc i;
-        contents.(i) <- Doc.content doc i;
-        size.(i) <- (old_size.(i) + if bumped.(i) then k else 0)
-      done;
-      (* the fragment lands at [pos, pos + k): shift its local ranks *)
-      let base_level = old_level.(p) + 1 in
-      for j = 0 to k - 1 do
-        let i = pos + j in
-        level.(i) <- Doc.level frag j + base_level;
-        parent.(i) <- (match Doc.parent frag j with -1 -> p | q -> q + pos);
-        kind.(i) <- Doc.kind frag j;
-        tags.(i) <- Doc.tag_name frag j;
-        contents.(i) <- Doc.content frag j;
-        size.(i) <- Doc.size frag j
-      done;
-      (* rows at and after the splice shift by [k]; levels and sizes are
-         rank-free so they carry over verbatim *)
-      for i = pos to n - 1 do
-        let i' = i + k in
-        level.(i') <- old_level.(i);
-        parent.(i') <- (if old_parent.(i) < pos then old_parent.(i) else old_parent.(i) + k);
-        kind.(i') <- old_kind.(i);
-        tags.(i') <- Doc.tag_name doc i;
-        contents.(i') <- Doc.content doc i;
-        size.(i') <- old_size.(i)
-      done;
-      let height = max (Doc.height doc) (base_level + Doc.height frag) in
-      Result.map
-        (fun doc -> { doc; splice = pos; delta = k })
-        (reassemble ~seed_names:(Doc.names doc) ~level ~parent ~kind ~tags ~contents ~size ~height)
+      let fragment = Doc.of_tree fragment in
+      validated
+        (Doc.Internal.splice doc ~at:pos ~drop:0 ~parent:p ~fragment:(Some fragment))
+        ~splice:pos ~delta:(Doc.n_nodes fragment)
 
 let delete doc ~pre:d =
   let n = Doc.n_nodes doc in
   if d < 0 || d >= n then fail "delete: pre %d out of bounds [0,%d)" d n
   else if d = 0 then fail "delete: cannot delete the document root"
-  else begin
+  else
     let k = Doc.size doc d + 1 in
-    let m = n - k in
-    let level = Array.make m 0
-    and parent = Array.make m 0
-    and kind = Array.make m Doc.Element
-    and tags = Array.make m None
-    and contents = Array.make m None
-    and size = Array.make m 0 in
-    let old_level = Doc.level_array doc
-    and old_parent = Doc.parent_array doc
-    and old_kind = Doc.kind_array doc
-    and old_size = Doc.size_array doc in
-    let bumped = Array.make d false in
-    List.iter (fun a -> bumped.(a) <- true) (ancestors doc d);
-    for i = 0 to d - 1 do
-      level.(i) <- old_level.(i);
-      parent.(i) <- old_parent.(i);
-      kind.(i) <- old_kind.(i);
-      tags.(i) <- Doc.tag_name doc i;
-      contents.(i) <- Doc.content doc i;
-      size.(i) <- (old_size.(i) - if bumped.(i) then k else 0)
-    done;
-    (* survivors after the subtree: their parents are outside [d, d+k)
-       because subtrees are contiguous pre ranges *)
-    for i = d + k to n - 1 do
-      let i' = i - k in
-      level.(i') <- old_level.(i);
-      parent.(i') <- (if old_parent.(i) < d then old_parent.(i) else old_parent.(i) - k);
-      kind.(i') <- old_kind.(i);
-      tags.(i') <- Doc.tag_name doc i;
-      contents.(i') <- Doc.content doc i;
-      size.(i') <- old_size.(i)
-    done;
-    (* a delete can lower the tree: recompute the height in one pass *)
-    let height = Array.fold_left max 0 level in
-    Result.map
-      (fun doc -> { doc; splice = d; delta = -k })
-      (reassemble ~seed_names:(Doc.names doc) ~level ~parent ~kind ~tags ~contents ~size ~height)
-  end
+    validated
+      (Doc.Internal.splice doc ~at:d ~drop:k ~parent:(Doc.parent doc d) ~fragment:None)
+      ~splice:d ~delta:(-k)
 
 let rename doc ~pre:r ~name =
   let n = Doc.n_nodes doc in
@@ -159,17 +68,7 @@ let rename doc ~pre:r ~name =
     | Doc.Text | Doc.Comment ->
       fail "rename: pre %d is a %s and has no name" r (Doc.kind_to_string (Doc.kind doc r))
     | Doc.Element | Doc.Attribute | Doc.Pi ->
-      let tags = Array.init n (fun i -> if i = r then Some name else Doc.tag_name doc i) in
-      let contents = Array.init n (fun i -> Doc.content doc i) in
-      Result.map
-        (fun doc -> { doc; splice = r; delta = 0 })
-        (reassemble ~seed_names:(Doc.names doc)
-           ~level:(Array.copy (Doc.level_array doc))
-           ~parent:(Array.copy (Doc.parent_array doc))
-           ~kind:(Array.copy (Doc.kind_array doc))
-           ~tags ~contents
-           ~size:(Array.copy (Doc.size_array doc))
-           ~height:(Doc.height doc))
+      validated (Doc.Internal.retag doc ~pre:r ~name) ~splice:r ~delta:0
 
 let apply doc op =
   match op with

@@ -9,9 +9,16 @@
     authoritatively here.
 
     [apply] is functional: the input document is never modified, the
-    result is a fresh rendition sharing nothing mutable with the old one.
-    That is the substrate of the server's snapshot isolation — readers
-    keep the old {!Doc.t} while the writer builds the next.  The returned
+    result is a fresh rendition that shares with the old one at most
+    columns no one writes after construction.  That is the substrate of
+    the server's snapshot isolation — readers keep the old {!Doc.t}
+    while the writer builds the next.
+
+    A commit costs a column splice ({!Doc.Internal.splice}): the prefix
+    and suffix of every column are blitted around the fragment's rows,
+    only the suffix's parents and text slots shift, and only the
+    fragment's names are interned.  A rename replaces the tag column
+    alone.  Every rendition then passes one full {!Doc.validate}.  The returned
     [splice]/[delta] describe the renumbering compactly so downstream
     structures (document statistics, the B+-tree index, the planner
     catalog) can be maintained incrementally instead of rebuilt. *)
@@ -42,12 +49,6 @@ type applied = {
 }
 
 val apply : Doc.t -> op -> (applied, Scj_error.Error.t) result
-
-(** [ancestors doc pre] is the parent chain of [pre] (nearest first),
-    the rows whose [size] a splice at [pre] adjusts.  For a splice at
-    [n_nodes doc] (append past the end) pass the parent explicitly —
-    this helper is for in-range ranks. *)
-val ancestors : Doc.t -> int -> int list
 
 val op_to_string : op -> string
 

@@ -27,8 +27,8 @@ let index_bindings idx = Btree.Int.to_list idx.tree
    after the splice point (rank shift moves pre) plus the O(height)
    ancestors of the splice (size change moves post, pre stays).  Rows
    before the splice keep both ranks, and their tag values stay valid
-   because renditions share dictionary numbering (assemble's
-   [seed_names]).  Cost is O((n - splice + height) log n) against O(n)
+   because renditions share dictionary numbering (the column splice
+   interns into a copy of the old dictionary).  Cost is O((n - splice + height) log n) against O(n)
    for a rebuild — O(height log n) for the append-at-end case. *)
 let maintain idx ~old_doc ~doc ~splice ~delta =
   let n_old = Doc.n_nodes old_doc and n_new = Doc.n_nodes doc in

@@ -52,22 +52,32 @@ type service_stats = {
   tally_misses : int;
 }
 
+(* Incremental session evolution is bounded: a worker further behind
+   than this rebuilds its session from scratch. *)
+let max_evolve_steps = 8
+
 (* One immutable rendition of the document under snapshot isolation:
-   the doc, its paged image (pool tagged with the epoch), and the delta
-   that produced it — the chain lets a worker carry its session forward
-   incrementally instead of replanning from scratch. *)
+   the doc, its paged image (pool tagged with the epoch), and the deltas
+   of the last [max_evolve_steps] commits up to it, newest first — a
+   worker at most that many epochs behind carries its session forward
+   incrementally instead of replanning from scratch.  Nothing links a
+   rendition to its predecessors, so a retired rendition (doc, paged
+   image, pool) is garbage once no reader holds it; the deltas keep only
+   the documents of the last [max_evolve_steps] epochs alive. *)
 type rendition = {
   repoch : int;
   rdoc : Doc.t;
   rpaged : Paged_doc.t;
-  prev : (rendition * Update.applied) option;
+  recent : Update.applied list;
 }
 
 (* [wsvc] is the per-worker query cache (parsed XPath / compiled FLWOR
    programs, keyed by language + strategy + source); it closes over
-   [wsession], so it is rebuilt whenever the session changes. *)
+   [wsession], so it is rebuilt whenever the session changes.  A worker
+   keeps its session's epoch, not its rendition, so a lagging worker
+   holds one retired document at most. *)
 type worker_state = {
-  mutable wrend : rendition;
+  mutable wepoch : int;
   mutable wsession : Eval.session;
   mutable wsvc : Xq_compile.service;
 }
@@ -156,41 +166,34 @@ let finish t handle ~tally outcome =
 (* Per-worker sessions along the rendition chain                       *)
 (* ------------------------------------------------------------------ *)
 
-(* renditions [target+1 .. r.repoch] with their deltas, oldest first;
-   None when the chain doesn't reach back (shouldn't happen — the chain
-   is only ever extended) *)
-let rec chain_back r target acc =
-  if r.repoch = target then Some acc
-  else
-    match r.prev with None -> None | Some (p, d) -> chain_back p target ((r, d) :: acc)
-
-let max_evolve_steps = 8
-
 let fresh_session t r =
   Eval.session ?strategy:(Db.strategy t.db) ~paged:r.rpaged ~domains:1 r.rdoc
 
 (* the session this worker should use for rendition [r]: evolved
-   incrementally when the delta chain is short, rebuilt otherwise.
+   incrementally through [r]'s deltas when they reach back to the
+   worker's epoch, rebuilt otherwise.  [r] is immutable, so the check
+   and the deltas it admits cannot change under a concurrent commit.
    Either way the query cache is invalidated — its compiled programs
    close over the superseded session. *)
 let session_for t ws r =
-  if ws.wrend == r then ws.wsession
+  if ws.wepoch = r.repoch then ws.wsession
   else begin
+    let behind = r.repoch - ws.wepoch in
     let session =
-      match chain_back r ws.wrend.repoch [] with
-      | Some steps when List.length steps <= max_evolve_steps ->
-        List.fold_left
-          (fun s (r', delta) -> Eval.evolve ~paged:r'.rpaged s delta)
-          ws.wsession steps
-      | Some _ | None -> fresh_session t r
+      if behind > 0 && behind <= List.length r.recent then
+        (* the deltas into epochs wepoch+1 .. repoch, oldest first *)
+        let steps = List.rev (List.filteri (fun i _ -> i < behind) r.recent) in
+        List.fold_left (fun s delta -> Eval.evolve ~paged:r.rpaged s delta) ws.wsession steps
+      else fresh_session t r
     in
-    ws.wrend <- r;
+    ws.wepoch <- r.repoch;
     ws.wsession <- session;
     ws.wsvc <- Xq_compile.service session;
     session
   end
 
 let service_for t ws r =
+  let ws = Lazy.force ws in
   ignore (session_for t ws r : Eval.session);
   ws.wsvc
 
@@ -216,8 +219,12 @@ let exec_write t op expect =
           let epoch = cur.repoch + 1 in
           let doc = applied.Update.doc in
           let r =
-            { repoch = epoch; rdoc = doc; rpaged = rendition_pool ~epoch doc;
-              prev = Some (cur, applied) }
+            {
+              repoch = epoch;
+              rdoc = doc;
+              rpaged = rendition_pool ~epoch doc;
+              recent = applied :: List.filteri (fun i _ -> i < max_evolve_steps - 1) cur.recent;
+            }
           in
           (* the commit point: one pointer swap — readers either see the
              whole old rendition or the whole new one *)
@@ -312,7 +319,7 @@ let worker_state_for t =
     | None ->
       let r = current t in
       let session = fresh_session t r in
-      let ws = { wrend = r; wsession = session; wsvc = Xq_compile.service session } in
+      let ws = { wepoch = r.repoch; wsession = session; wsvc = Xq_compile.service session } in
       Hashtbl.add t.wstates id ws;
       ws
   in
@@ -339,14 +346,16 @@ let rec drain_loop t ws =
     drain_loop t ws
 
 let spawn_drainer t =
-  Scj_frag.Morsel.Pool.async t.pool (fun () -> drain_loop t (worker_state_for t))
+  (* the worker state is looked up on the first query that plans: writes
+     and paged steps never touch a session *)
+  Scj_frag.Morsel.Pool.async t.pool (fun () -> drain_loop t (lazy (worker_state_for t)))
 
 let create ?workers ?queue_bound ?deadline db =
   let n_workers = match workers with Some w -> max 1 w | None -> Exec.default_domains () in
   let queue_bound = match queue_bound with Some b -> max 1 b | None -> 4 * n_workers in
   let default_deadline = match deadline with Some d -> d | None -> infinity in
   let initial =
-    { repoch = 0; rdoc = Db.doc db; rpaged = Db.paged db; prev = None }
+    { repoch = 0; rdoc = Db.doc db; rpaged = Db.paged db; recent = [] }
   in
   let t =
     {

@@ -20,8 +20,11 @@
     {!Scj_error.Error.Conflict} and commits nothing.
 
     Workers carry their planner session across commits incrementally
-    ({!Scj_xpath.Eval.evolve} along the rendition delta chain) instead
-    of replanning from scratch.
+    ({!Scj_xpath.Eval.evolve} through the deltas of the last
+    [max_evolve_steps] = 8 commits, which each rendition carries)
+    instead of replanning from scratch; a worker further behind rebuilds
+    its session.  No rendition links to its predecessors, so a retired
+    rendition is freed once its last reader is done.
 
     {2 Isolation and accounting}
 

@@ -219,11 +219,11 @@ type t = {
   mutable geo : geometry;  (* rewritten by a checkpoint with mutations *)
   last_recovery : Wal.recovery;
   bytes_read : int Atomic.t;
-  lock : Mutex.t;  (* guards the memos, the pending list and the WAL *)
+  lock : Mutex.t;  (* guards the memos, the pending count and the WAL *)
   mutable doc : Doc.t option;
   mutable paged : Paged_doc.t option;
   mutable guide_memo : Guide.t option;  (* maintained incrementally by apply *)
-  mutable pending : Update.op list;  (* committed, not yet checkpointed; oldest first *)
+  mutable pending : int;  (* mutations committed, not yet checkpointed *)
   mutable next_txid : int;
 }
 
@@ -235,14 +235,14 @@ let last_recovery t = t.last_recovery
 
 let bytes_read t = Atomic.get t.bytes_read
 
-let pending_mutations t = List.length t.pending
+let pending_mutations t = t.pending
 
 (* current-rendition dimensions: the geometry describes the page file,
    which lags behind committed logical mutations until checkpoint *)
 let n_nodes t =
-  match t.doc with Some d when t.pending <> [] -> Doc.n_nodes d | _ -> t.geo.n_nodes
+  match t.doc with Some d when t.pending > 0 -> Doc.n_nodes d | _ -> t.geo.n_nodes
 
-let height t = match t.doc with Some d when t.pending <> [] -> Doc.height d | _ -> t.geo.height
+let height t = match t.doc with Some d when t.pending > 0 -> Doc.height d | _ -> t.geo.height
 
 (* read + checksum-verify one file page; every byte is counted *)
 let read_file_page t fpage =
@@ -339,7 +339,7 @@ let guide_locked t =
         guide_banner t "pre-guide store format";
         Guide.build d
       end
-      else if t.pending <> [] then
+      else if t.pending > 0 then
         (* the extent describes the base rendition, not the pending one *)
         Guide.build d
       else
@@ -363,7 +363,7 @@ let paged ?(stripes = 8) ?capacity t =
       | Some p -> p
       | None ->
         let p =
-          if t.pending = [] then begin
+          if t.pending = 0 then begin
             (* clean store: serve queries straight off the page file *)
             let capacity =
               match capacity with Some c -> c | None -> default_capacity t.geo
@@ -499,7 +499,7 @@ let apply t op =
               (Guide.update g ~old_doc:base ~doc:applied.Update.doc
                  ~splice:applied.Update.splice ~delta:applied.Update.delta));
         t.doc <- Some applied.Update.doc;
-        t.pending <- t.pending @ [ op ];
+        t.pending <- t.pending + 1;
         (* readers holding the previous paged rendition keep it; the
            memo now points at nothing until someone asks again *)
         t.paged <- None;
@@ -516,7 +516,7 @@ let checkpoint t =
   with_lock t (fun () ->
       (* a clean pre-guide store still rewrites once, to gain its guide
          extent (the format upgrade promised by the open-time banner) *)
-      if t.pending = [] && t.geo.guide_pages > 0 then begin
+      if t.pending = 0 && t.geo.guide_pages > 0 then begin
         t.pages.Io.fsync ();
         Wal.truncate t.wal
       end
@@ -542,7 +542,7 @@ let checkpoint t =
         t.pages.Io.fsync ();
         Wal.truncate t.wal;
         t.geo <- g;
-        t.pending <- [];
+        t.pending <- 0;
         (* the file-backed pool (if any) addressed the old extents *)
         t.paged <- None
       end)
@@ -571,7 +571,7 @@ let make_handle io ~path ~pages ~walf ~wal ~geo ~recovery =
     doc = None;
     paged = None;
     guide_memo = None;
-    pending = [];
+    pending = 0;
     next_txid = 100 + recovery.Wal.committed;
   }
 
@@ -682,7 +682,7 @@ let open_ ?(io = Io.real) path =
               (fun acc payload ->
                 match acc with
                 | Error _ as e -> e
-                | Ok (d, ops) -> (
+                | Ok (d, count) -> (
                   match Update.decode payload with
                   | Error e ->
                     Error (Error.recovery (Printf.sprintf "undecodable mutation record: %s" e))
@@ -693,18 +693,18 @@ let open_ ?(io = Io.real) path =
                         (Error.recovery
                            (Printf.sprintf "logged mutation no longer applies (%s): %s"
                               (Update.op_to_string op) (Error.to_string e)))
-                    | Ok applied -> Ok (applied.Update.doc, op :: ops))))
+                    | Ok applied -> Ok (applied.Update.doc, count + 1))))
               (match materialize_base t with
-              | d -> Ok (d, [])
+              | d -> Ok (d, 0)
               | exception Corrupt msg -> Error (Error.corrupt msg))
               pending_payloads
           with
           | Error e ->
             cleanup ();
             Error e
-          | Ok (d, rev_ops) ->
+          | Ok (d, count) ->
             t.doc <- Some d;
-            t.pending <- List.rev rev_ops;
+            t.pending <- count;
             Ok t
         end)
   end

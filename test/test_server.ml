@@ -285,24 +285,50 @@ let fragment = Tree.elem "hot" [ Tree.elem "entry" [] ]
 
 (* one serialized writer transaction: insert <hot><entry/></hot> under
    the root (-> epoch 3t+1), rename it to warm (-> 3t+2), delete it
-   (-> 3t+3); returns the spliced pre *)
-let writer_triple server =
+   (-> 3t+3); [after] runs after each commit *)
+let writer_triple ?(after = ignore) server =
   let root = 0 in
   match
     Server.run server
       (Server.Write { op = Update.Insert { parent = root; before = None; fragment }; expect = None })
   with
   | Server.Done r when Nodeseq.length r.Server.result = 1 ->
+    after ();
     let pre = Nodeseq.get r.Server.result 0 in
     (match
        Server.run server (Server.Write { op = Update.Rename { pre; name = "warm" }; expect = None })
      with
-    | Server.Done _ -> ()
+    | Server.Done _ -> after ()
     | _ -> Alcotest.fail "rename write failed");
     (match Server.run server (Server.Write { op = Update.Delete { pre }; expect = None }) with
-    | Server.Done _ -> ()
+    | Server.Done _ -> after ()
     | _ -> Alcotest.fail "delete write failed")
   | _ -> Alcotest.fail "insert write failed"
+
+let reader_queries =
+  [ "/descendant::hot"; "/descendant::warm"; "/descendant::entry"; "/descendant::a" ]
+
+(* The probe: with writer triples only, a reader's epoch mod 3 fixes the
+   answer to each of [reader_queries]. *)
+let check_probe ~base_a q = function
+  | Server.Done r ->
+    let n = Nodeseq.length r.Server.result in
+    let expect =
+      match (q, r.Server.epoch mod 3) with
+      | "/descendant::hot", 1 -> 1
+      | "/descendant::hot", _ -> 0
+      | "/descendant::warm", 2 -> 1
+      | "/descendant::warm", _ -> 0
+      | "/descendant::entry", (1 | 2) -> 1
+      | "/descendant::entry", _ -> 0
+      | _ -> base_a
+    in
+    if n <> expect then
+      Alcotest.failf "reader of %s pinned to epoch %d saw %d node(s), wanted %d" q r.Server.epoch
+        n expect
+  | Server.Timed_out -> Alcotest.fail "reader timed out"
+  | Server.Failed e -> Alcotest.failf "reader failed: %s" (Err.to_string e)
+  | Server.Dropped -> Alcotest.fail "reader dropped"
 
 (* Readers pinned to any rendition must see a document that is exactly
    one committed state: the reply's epoch determines the answer to
@@ -313,9 +339,6 @@ let test_snapshot_isolation () =
   let doc = Fuzz.doc Fuzz.Uniform 13 in
   let paged = Paged_doc.load ~page_ints:8 ~capacity:16 ~fault_latency:0.0002 doc in
   let server = server_over ~workers:4 ~queue_bound:1024 doc paged in
-  let reader_queries =
-    [ "/descendant::hot"; "/descendant::warm"; "/descendant::entry"; "/descendant::a" ]
-  in
   let base_a = Nodeseq.length (Eval.run_exn (Eval.session doc) "/descendant::a") in
   let handles = ref [] in
   let triples = 5 in
@@ -329,32 +352,67 @@ let test_snapshot_isolation () =
       (List.concat (List.init 3 (fun _ -> reader_queries)));
     writer_triple server
   done;
-  List.iter
-    (fun (q, h) ->
-      match Server.await h with
-      | Server.Done r ->
-        let n = Nodeseq.length r.Server.result in
-        let expect =
-          match (q, r.Server.epoch mod 3) with
-          | "/descendant::hot", 1 -> 1
-          | "/descendant::hot", _ -> 0
-          | "/descendant::warm", 2 -> 1
-          | "/descendant::warm", _ -> 0
-          | "/descendant::entry", (1 | 2) -> 1
-          | "/descendant::entry", _ -> 0
-          | _ -> base_a
-        in
-        if n <> expect then
-          Alcotest.failf "reader of %s pinned to epoch %d saw %d node(s), wanted %d" q
-            r.Server.epoch n expect
-      | Server.Timed_out -> Alcotest.fail "reader timed out"
-      | Server.Failed e -> Alcotest.failf "reader failed: %s" (Err.to_string e)
-      | Server.Dropped -> Alcotest.fail "reader dropped")
-    (List.rev !handles);
+  List.iter (fun (q, h) -> check_probe ~base_a q (Server.await h)) (List.rev !handles);
   let stats = Server.stats server in
   check_int "every write committed" (3 * triples) stats.Server.commits;
   check_int "epoch = commits" (3 * triples) stats.Server.epoch;
   check_int "epoch accessor agrees" (3 * triples) (Server.epoch server);
+  Server.shutdown server
+
+(* A server over a fresh document with a weak probe on it, built in its
+   own function so that no local of the caller keeps the epoch-0
+   document alive.  Reads run on the dataguide's partitions, so a
+   session evolved through the wrong deltas answers from a stale guide.
+   Returns the base count of the probe's //a. *)
+let[@inline never] server_with_weak_probe probe =
+  let doc = Fuzz.doc Fuzz.Uniform 19 in
+  Weak.set probe 0 (Some doc);
+  let base_a = Nodeseq.length (Eval.run_exn (Eval.session doc) "/descendant::a") in
+  let db = Db.of_doc ?strategy:(Eval.strategy_of_string "guide") doc in
+  Db.attach_paged db (Paged_doc.load ~page_ints:8 ~capacity:16 ~fault_latency:0.0002 doc);
+  (Server.create ~workers:2 ~queue_bound:1024 db, base_a)
+
+let[@inline never] probe_current_doc probe slot server =
+  Weak.set probe slot (Some (Db.doc (Server.db server)))
+
+(* The rendition chain is bounded: a rendition keeps the deltas (and so
+   the documents) of the last [max_evolve_steps] (8) commits only, so
+   older documents are garbage.  Workers that lag further than the bound
+   rebuild their sessions and still answer every epoch right. *)
+let test_bounded_rendition_chain () =
+  let probe = Weak.create 2 in
+  let server, base_a = server_with_weak_probe probe in
+  (* writes only: no worker has planned over an early epoch *)
+  writer_triple server ~after:(fun () ->
+      if Server.epoch server = 1 then probe_current_doc probe 1 server);
+  for _ = 1 to 3 do
+    writer_triple server
+  done;
+  Gc.full_major ();
+  check_bool "epoch-0 document collected after 12 commits" false (Weak.check probe 0);
+  check_bool "epoch-1 document collected after 12 commits" false (Weak.check probe 1);
+  (* a burst of concurrent readers, each checked against its epoch *)
+  let burst () =
+    let handles =
+      List.concat_map
+        (fun q ->
+          List.init 3 (fun _ ->
+              match submit_exn server (Server.Path q) with
+              | Some h -> (q, h)
+              | None -> Alcotest.fail "reader rejected below the bound"))
+        reader_queries
+    in
+    List.iter (fun (q, h) -> check_probe ~base_a q (Server.await h)) handles
+  in
+  (* every reading worker plans at epoch 12, then lags by 9 epochs; the
+     probe bursts after each commit of the next triple catch it 10
+     epochs behind, then 1 *)
+  burst ();
+  for _ = 1 to 3 do
+    writer_triple server
+  done;
+  writer_triple ~after:burst server;
+  check_int "epoch" 24 (Server.epoch server);
   Server.shutdown server
 
 (* Optimistic concurrency: [expect] is compare-and-swap on the epoch;
@@ -640,6 +698,8 @@ let () =
             test_backpressure_rejects;
           Alcotest.test_case "snapshot isolation under concurrent commits" `Quick
             test_snapshot_isolation;
+          Alcotest.test_case "bounded rendition chain: retired renditions freed" `Quick
+            test_bounded_rendition_chain;
           Alcotest.test_case "write conflicts, invalid writes, long chains" `Quick
             test_write_conflicts;
         ] );

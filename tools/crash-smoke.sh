@@ -22,10 +22,17 @@ query="//item//increase"
 
 # Randomized crash point: each fsync barrier sleeps 25ms, the killer
 # strikes somewhere inside the load's barrier sequence.  $$ seeds the
-# schedule so repeated runs cover different points.
+# schedule so repeated runs cover different points.  The clock starts
+# once the loader has created the store directory: on a busy host the
+# process may not have started within the whole window, and a kill
+# before the load begins tests nothing.  (date's %-S drops the leading
+# zero, which sh arithmetic would read as octal: 08 and 09 fail.)
 "$SCJ" load "$doc" -o "$store" --page-ints 64 --fsync-delay 25 2>/dev/null &
 loader=$!
-sleep_ms=$(( ($$ + $(date +%S)) % 200 ))
+while [ ! -d "$store" ] && kill -0 "$loader" 2>/dev/null; do
+  sleep 0.01
+done
+sleep_ms=$(( ($$ + $(date +%-S)) % 200 ))
 sleep "$(printf '0.%03d' "$sleep_ms")"
 kill -9 "$loader" 2>/dev/null || true
 wait "$loader" 2>/dev/null || true
@@ -69,7 +76,7 @@ fi
 "$SCJ" workload "$store" --mutate --clients 1 --rounds 400 --fault-latency 200 \
   >/dev/null 2>&1 &
 writer=$!
-mut_sleep_ms=$(( 120 + ($$ + $(date +%S)) % 250 ))
+mut_sleep_ms=$(( 120 + ($$ + $(date +%-S)) % 250 ))
 sleep "$(printf '0.%03d' "$mut_sleep_ms")"
 kill -9 "$writer" 2>/dev/null || true
 wait "$writer" 2>/dev/null || true

@@ -51,7 +51,8 @@ if [ "$mid0" != "$a0" ]; then
   exit 1
 fi
 
-sleep_ms=$(( 120 + ($$ + $(date +%S)) % 250 ))
+# %-S: a zero-padded 08 or 09 is a bad octal number in sh arithmetic
+sleep_ms=$(( 120 + ($$ + $(date +%-S)) % 250 ))
 sleep "$(printf '0.%03d' "$sleep_ms")"
 kill -9 "$writer" 2>/dev/null || true
 wait "$writer" 2>/dev/null || true
