@@ -491,17 +491,20 @@ let splice_col old ~at ~drop mid =
   col
 
 module Internal = struct
-  let assemble ~post ~level ~parent ~kind ~tags ~contents ~height () =
+  let of_columns ~post ~level ~parent ~kind ~tag ~content ~names ~texts ~height =
     let n = Array.length post in
-    let names = Dict.create () in
-    let texts = Str_col.create ~capacity:(max 16 (n / 4)) () in
-    let tag = Array.map (function None -> -1 | Some s -> Dict.intern names s) tags in
-    let content =
-      Array.map (function None -> -1 | Some s -> Str_col.append texts s) contents
-    in
-    let size = Array.init n (fun pre -> post.(pre) - pre + level.(pre)) in
-    let pre_of_post = Array.make n 0 in
-    Array.iteri (fun pre p -> if p >= 0 && p < n then pre_of_post.(p) <- pre) post;
+    List.iter
+      (fun len -> if len <> n then invalid_arg "Doc.Internal.of_columns: column lengths differ")
+      [ Array.length level; Array.length parent; Array.length kind; Array.length tag;
+        Array.length content ];
+    (* size by Equation (1) and the inverse of post, in one pass; an
+       out-of-range post rank is left for [validate] to report *)
+    let size = Array.make n 0 and pre_of_post = Array.make n 0 in
+    for pre = 0 to n - 1 do
+      let p = post.(pre) in
+      size.(pre) <- p - pre + level.(pre);
+      if p >= 0 && p < n then pre_of_post.(p) <- pre
+    done;
     {
       post;
       level;

@@ -178,18 +178,23 @@ val pp_table : Format.formatter -> t -> unit
 
 (** For {!Codec}, the store and {!Update} only. *)
 module Internal : sig
-  (** Reassemble a document from raw per-row columns (the codec and
-      store decoders).  Subtree sizes are recomputed from Equation (1);
-      callers should {!validate}. *)
-  val assemble :
+  (** [of_columns ~post ~level ~parent ~kind ~tag ~content ~names ~texts
+      ~height] wraps decoded per-row columns (the {!Codec} row decoder,
+      shared with the durable store) as a document without copying
+      them: [tag] holds symbols of [names], [content] slots of [texts].
+      Subtree sizes, the inverse of post and the attribute prefix sums
+      are derived in plain loops.  Callers should {!validate}.
+      @raise Invalid_argument when the columns differ in length. *)
+  val of_columns :
     post:int array ->
     level:int array ->
     parent:int array ->
     kind:kind array ->
-    tags:string option array ->
-    contents:string option array ->
+    tag:int array ->
+    content:int array ->
+    names:Scj_bat.Dict.t ->
+    texts:Scj_bat.Str_col.t ->
     height:int ->
-    unit ->
     t
 
   (** [splice t ~at ~drop ~parent ~fragment] replaces the [drop] rows

@@ -350,10 +350,7 @@ let kind_of_code = function
   | 4 -> Ok Doc.Pi
   | c -> Error (Printf.sprintf "corrupt kind code %d" c)
 
-let buf_int buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+let buf_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
 let buf_string buf s =
   buf_int buf (String.length s);

@@ -1,5 +1,6 @@
 module Doc = Scj_encoding.Doc
 module Update = Scj_encoding.Update
+module Codec = Scj_encoding.Codec
 module Error = Scj_error.Error
 module Buffer_pool = Scj_pager.Buffer_pool
 module Paged_doc = Scj_pager.Paged_doc
@@ -120,91 +121,24 @@ let encode_meta_page ~page_ints blob off len =
   set_int b (page_ints * 8) (Crc32.digest b ~pos:0 ~len:(page_ints * 8));
   b
 
-let check_page ~page_ints ~what b =
-  let stored = get_int b (page_ints * 8) in
-  let computed = Crc32.digest b ~pos:0 ~len:(page_ints * 8) in
+(* verify the file page [fpage] held at [b[pos, pos + stride)] *)
+let check_page ~page_ints ~fpage b ~pos =
+  let stored = get_int b (pos + (page_ints * 8)) in
+  let computed = Crc32.digest b ~pos ~len:(page_ints * 8) in
   if stored <> computed then
     raise
-      (Corrupt (Printf.sprintf "checksum mismatch on %s (stored %d, computed %d)" what stored
-                  computed))
+      (Corrupt
+         (Printf.sprintf "checksum mismatch on file page %d (stored %d, computed %d)" fpage stored
+            computed))
 
 (* ------------------------------------------------------------------ *)
-(* Meta blob: the non-columnar document fields, Codec-style            *)
+(* Meta blob: the non-columnar document fields, as Codec's row section *)
 (* ------------------------------------------------------------------ *)
-
-let kind_code = function
-  | Doc.Element -> 0
-  | Doc.Attribute -> 1
-  | Doc.Text -> 2
-  | Doc.Comment -> 3
-  | Doc.Pi -> 4
-
-let kind_of_code = function
-  | 0 -> Doc.Element
-  | 1 -> Doc.Attribute
-  | 2 -> Doc.Text
-  | 3 -> Doc.Comment
-  | 4 -> Doc.Pi
-  | c -> raise (Corrupt (Printf.sprintf "corrupt kind code %d in meta extent" c))
-
-let buf_int buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
-
-let buf_string buf s =
-  buf_int buf (String.length s);
-  Buffer.add_string buf s
 
 let encode_meta doc =
-  let n = Doc.n_nodes doc in
-  let buf = Buffer.create (n * 24) in
-  Array.iter (buf_int buf) (Doc.level_array doc);
-  Array.iter (buf_int buf) (Doc.parent_array doc);
-  Array.iter (fun k -> buf_int buf (kind_code k)) (Doc.kind_array doc);
-  for pre = 0 to n - 1 do
-    match Doc.tag_name doc pre with
-    | None -> buf_int buf 0
-    | Some name ->
-      buf_int buf 1;
-      buf_string buf name
-  done;
-  for pre = 0 to n - 1 do
-    match (Doc.kind doc pre, Doc.content doc pre) with
-    | (Doc.Text | Doc.Comment | Doc.Attribute | Doc.Pi), Some s ->
-      buf_int buf 1;
-      buf_string buf s
-    | _, _ -> buf_int buf 0
-  done;
+  let buf = Buffer.create (Doc.n_nodes doc * 24) in
+  Codec.encode_rows buf doc;
   Buffer.to_bytes buf
-
-type cursor = { blob : Bytes.t; mutable pos : int }
-
-let cur_int c =
-  if c.pos + 8 > Bytes.length c.blob then raise (Corrupt "meta extent truncated");
-  let v = get_int c.blob c.pos in
-  c.pos <- c.pos + 8;
-  v
-
-let cur_string c =
-  let len = cur_int c in
-  if len < 0 || c.pos + len > Bytes.length c.blob then
-    raise (Corrupt "corrupt string length in meta extent");
-  let s = Bytes.sub_string c.blob c.pos len in
-  c.pos <- c.pos + len;
-  s
-
-let decode_meta ~n ~height ~post blob =
-  let c = { blob; pos = 0 } in
-  let level = Array.init n (fun _ -> cur_int c) in
-  let parent = Array.init n (fun _ -> cur_int c) in
-  let kind = Array.init n (fun _ -> kind_of_code (cur_int c)) in
-  let tags = Array.init n (fun _ -> if cur_int c = 1 then Some (cur_string c) else None) in
-  let contents = Array.init n (fun _ -> if cur_int c = 1 then Some (cur_string c) else None) in
-  let doc = Doc.Internal.assemble ~post ~level ~parent ~kind ~tags ~contents ~height () in
-  match Doc.validate doc with
-  | Ok () -> doc
-  | Error e -> raise (Corrupt (Printf.sprintf "recovered document is inconsistent: %s" e))
 
 (* ------------------------------------------------------------------ *)
 (* Store handle                                                        *)
@@ -244,17 +178,34 @@ let n_nodes t =
 
 let height t = match t.doc with Some d when t.pending > 0 -> Doc.height d | _ -> t.geo.height
 
-(* read + checksum-verify one file page; every byte is counted *)
-let read_file_page t fpage =
+(* Read file pages [first, first + count) with one pread into one
+   buffer.  Each page's checksum is verified in place, in file order,
+   before any byte of it is used; then the trailers are closed up, so
+   the extent's payload is bytes [0, count * page_ints * 8) of the
+   result.  Every byte read is counted. *)
+let read_extent t ~first ~count =
   let page_ints = t.geo.page_ints in
   let st = stride ~page_ints in
-  let b = Bytes.create st in
-  let got = t.pages.Io.pread ~pos:(fpage * st) b 0 st in
+  let data = page_ints * 8 in
+  let b = Bytes.create (count * st) in
+  let got = t.pages.Io.pread ~pos:(first * st) b 0 (count * st) in
   Atomic.fetch_and_add t.bytes_read got |> ignore;
-  if got < st then
-    raise (Corrupt (Printf.sprintf "short read on file page %d (%d of %d bytes)" fpage got st));
-  check_page ~page_ints ~what:(Printf.sprintf "file page %d" fpage) b;
+  for p = 0 to count - 1 do
+    let fpage = first + p in
+    if got < (p + 1) * st then
+      raise
+        (Corrupt
+           (Printf.sprintf "short read on file page %d (%d of %d bytes)" fpage
+              (max 0 (got - (p * st))) st));
+    check_page ~page_ints ~fpage b ~pos:(p * st)
+  done;
+  for p = 1 to count - 1 do
+    Bytes.blit b (p * st) b (p * data) data
+  done;
   b
+
+(* one file page (a pool fault, the superblock) *)
+let read_file_page t fpage = read_extent t ~first:fpage ~count:1
 
 (* decode a column page into ints; [len] trims the pool's last page *)
 let ints_of_page b len = Array.init len (fun i -> get_int b (8 * i))
@@ -271,27 +222,17 @@ let pool_store t =
 let default_capacity g = max 24 (pool_pages g / 10)
 
 (* Materialize the base (page-file) rendition: post extent + meta
-   extent, read directly (checksum-verified) — deliberately not through
-   the buffer pool, whose stats stay pure query traffic.  Caller holds
-   the lock. *)
+   extent, one checksum-verified read each, decoded straight into the
+   columns — deliberately not through the buffer pool, whose stats stay
+   pure query traffic.  Caller holds the lock. *)
 let materialize_base t =
   let g = t.geo in
-  let post = Array.make g.n_nodes 0 in
-  for p = 0 to g.post_pages - 1 do
-    let b = read_file_page t (1 + p) in
-    let len = min g.page_ints (g.n_nodes - (p * g.page_ints)) in
-    for i = 0 to len - 1 do
-      post.((p * g.page_ints) + i) <- get_int b (8 * i)
-    done
-  done;
-  let blob = Bytes.create g.meta_bytes in
-  let meta_base = 1 + pool_pages g in
-  for p = 0 to g.meta_pages - 1 do
-    let b = read_file_page t (meta_base + p) in
-    let len = min (g.page_ints * 8) (g.meta_bytes - (p * g.page_ints * 8)) in
-    Bytes.blit b 0 blob (p * g.page_ints * 8) len
-  done;
-  decode_meta ~n:g.n_nodes ~height:g.height ~post blob
+  let post_buf = read_extent t ~first:1 ~count:g.post_pages in
+  let post = Array.init g.n_nodes (fun i -> get_int post_buf (8 * i)) in
+  let meta = read_extent t ~first:(1 + pool_pages g) ~count:g.meta_pages in
+  match Codec.decode_rows meta ~pos:0 ~len:g.meta_bytes ~post ~height:g.height with
+  | Ok doc -> doc
+  | Error e -> raise (Corrupt (Printf.sprintf "meta extent: %s" e))
 
 let doc_locked t =
   match t.doc with
@@ -310,14 +251,8 @@ let doc t = with_lock t (fun () -> doc_locked t)
 (* read the serialized dataguide extent of the base rendition *)
 let read_guide_blob t =
   let g = t.geo in
-  let blob = Bytes.create g.guide_bytes in
-  let guide_base = 1 + pool_pages g + g.meta_pages in
-  for p = 0 to g.guide_pages - 1 do
-    let b = read_file_page t (guide_base + p) in
-    let len = min (g.page_ints * 8) (g.guide_bytes - (p * g.page_ints * 8)) in
-    Bytes.blit b 0 blob (p * g.page_ints * 8) len
-  done;
-  blob
+  let b = read_extent t ~first:(1 + pool_pages g + g.meta_pages) ~count:g.guide_pages in
+  Bytes.sub b 0 g.guide_bytes
 
 let guide_banner t reason =
   Printf.eprintf "[scj] store %s: %s -- rebuilt the dataguide in memory; the next checkpoint persists it\n%!"
@@ -391,10 +326,16 @@ let paged ?(stripes = 8) ?capacity t =
 
 let pool t = Paged_doc.pool (paged t)
 
+(* every page of the file, checksum-verified a bounded run at a time *)
 let verify t =
+  let total = file_pages t.geo in
+  let run = max 1 ((1 lsl 22) / stride ~page_ints:t.geo.page_ints) in
   try
-    for fpage = 0 to file_pages t.geo - 1 do
-      ignore (read_file_page t fpage)
+    let first = ref 0 in
+    while !first < total do
+      let count = min run (total - !first) in
+      ignore (read_extent t ~first:!first ~count);
+      first := !first + count
     done;
     Ok ()
   with Corrupt msg -> Error (Error.corrupt msg)

@@ -107,10 +107,14 @@ val pool : t -> Scj_pager.Buffer_pool.t
 val pool_store : t -> Scj_pager.Buffer_pool.Store.t
 
 (** Materialize the current in-memory document (post + meta extents,
-    read directly and checksum-verified, {e not} through the buffer
-    pool — pool stats stay pure query traffic — plus any pending
-    mutations).  Memoized.
-    @raise Corrupt on checksum mismatch or failed validation. *)
+    read directly, {e not} through the buffer pool — pool stats stay
+    pure query traffic — plus any pending mutations).  Each extent is
+    one pread; every page's checksum is verified before any of its
+    bytes is decoded, and the meta extent is decoded straight into the
+    columns by {!Scj_encoding.Codec.decode_rows}, which validates the
+    document once.  Memoized.
+    @raise Corrupt on a short read, a checksum mismatch (naming the
+    file page), malformed rows or failed validation. *)
 val doc : t -> Scj_encoding.Doc.t
 
 (** Checksum-walk every page of the file.  [Error] carries the first

@@ -500,19 +500,68 @@ let test_codec_rejects_garbage () =
       | Ok _ -> Alcotest.fail "garbage accepted"
       | Error _ -> ())
 
-let test_codec_rejects_truncated () =
+(* Damaged document files — every proper prefix of a valid file, bad
+   row fields, a trailing byte: [read_file] must answer [Error], never
+   raise, never read past the file's end. *)
+let with_codec_bytes d f =
   let path = Filename.temp_file "scjdoc" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Codec.write_file path (doc ());
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      let oc = open_out_bin path in
-      output_string oc (String.sub full 0 (String.length full / 2));
-      close_out oc;
-      match Codec.read_file path with
-      | Ok _ -> Alcotest.fail "truncated file accepted"
-      | Error _ -> ())
+      Codec.write_file path d;
+      let full = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      let read_back b =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+        match Codec.read_file path with
+        | r -> r
+        | exception e -> Alcotest.failf "read_file raised %s" (Printexc.to_string e)
+      in
+      f full read_back)
+
+let contains_sub s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let expect_error what ~mentions = function
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error e ->
+    if not (contains_sub e mentions) then
+      Alcotest.failf "%s: diagnosis %S does not mention %S" what e mentions
+
+let test_codec_rejects_truncated () =
+  List.iter
+    (fun d ->
+      with_codec_bytes d (fun full read_back ->
+          let len = Bytes.length full in
+          for cut = 0 to len - 1 do
+            match read_back (Bytes.sub full 0 cut) with
+            | Ok _ -> Alcotest.failf "file cut at byte %d of %d accepted" cut len
+            | Error _ -> ()
+          done))
+    [ doc (); mixed_doc () ]
+
+let test_codec_rejects_bad_rows () =
+  let d = mixed_doc () in
+  let n = Doc.n_nodes d in
+  with_codec_bytes d (fun full read_back ->
+      let patched off v =
+        let b = Bytes.copy full in
+        Bytes.set_int64_le b off (Int64.of_int v);
+        read_back b
+      in
+      (* the row section follows the magic, n, height and the post column *)
+      let rows = String.length Codec.magic + 16 + (8 * n) in
+      expect_error "bad kind code" ~mentions:"kind code" (patched (rows + (16 * n) + 8) 9);
+      (* the root's tag row: flag 1 at [rows + 24n], its length next *)
+      let tag_len = rows + (24 * n) + 8 in
+      expect_error "string length past the end" ~mentions:"string length"
+        (patched tag_len (Bytes.length full));
+      expect_error "negative string length" ~mentions:"string length" (patched tag_len (-3));
+      expect_error "bad presence flag" ~mentions:"presence flag" (patched (rows + (24 * n)) 2);
+      expect_error "node count past the end" ~mentions:"truncated"
+        (patched (String.length Codec.magic) (1 lsl 30));
+      expect_error "trailing byte" ~mentions:"trailing" (read_back (Bytes.cat full (Bytes.make 1 '\000'))))
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~count:100 ~name:"codec roundtrips random documents"
@@ -561,6 +610,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
           Alcotest.test_case "rejects truncation" `Quick test_codec_rejects_truncated;
+          Alcotest.test_case "rejects bad rows" `Quick test_codec_rejects_bad_rows;
         ] );
       ("properties", qsuite);
     ]

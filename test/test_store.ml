@@ -15,6 +15,8 @@ module Paged_doc = Scj_pager.Paged_doc
 module Buffer_pool = Scj_pager.Buffer_pool
 module Store = Scj_store.Store
 module Wal = Scj_store.Wal
+module Crc32 = Scj_store.Crc32
+module Codec = Scj_encoding.Codec
 module Err = Scj_error.Error
 
 let error_t = Alcotest.testable Err.pp ( = )
@@ -109,6 +111,80 @@ let check_parity ~what oracle store =
     contexts
 
 (* ------------------------------------------------------------------ *)
+(* CRC-32                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* the oracle: the textbook CRC-32, one byte (and its eight bits) at a
+   time *)
+let crc32_bytewise ?(crc = 0) b ~pos ~len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_known_answer () =
+  let check_digest what expected s =
+    Alcotest.(check int) what expected
+      (Crc32.digest (Bytes.of_string s) ~pos:0 ~len:(String.length s))
+  in
+  check_digest "check value" 0xCBF43926 "123456789";
+  check_digest "empty" 0 "";
+  check_digest "pangram" 0x414FA339 "The quick brown fox jumps over the lazy dog";
+  Alcotest.check_raises "range past the end" (Invalid_argument "Crc32.update") (fun () ->
+      ignore (Crc32.digest (Bytes.create 8) ~pos:4 ~len:5))
+
+(* one default page's data bytes: the size every page checksum covers *)
+let full_page = 1024 * 8
+
+(* Random buffers at every start offset mod 8, every length 0-64 and one
+   full page: the slicing-by-8 digest equals the bytewise oracle, and a
+   digest split anywhere composes ([update (digest a) b = digest (a ^ b)],
+   the WAL's header-then-payload checksum). *)
+let prop_crc32_matches_bytewise =
+  QCheck.Test.make ~count:40 ~name:"crc32 = bytewise oracle, composes" QCheck.int (fun seed ->
+      let st = Random.State.make [| 0xc5c; seed |] in
+      let buf = Bytes.init (8 + full_page) (fun _ -> Char.chr (Random.State.int st 256)) in
+      let lens = List.init 65 Fun.id @ [ full_page ] in
+      List.for_all
+        (fun pos ->
+          List.for_all
+            (fun len ->
+              let whole = Crc32.digest buf ~pos ~len in
+              let split = Random.State.int st (len + 1) in
+              whole = crc32_bytewise buf ~pos ~len
+              && Crc32.update (Crc32.digest buf ~pos ~len:split) buf ~pos:(pos + split)
+                   ~len:(len - split)
+                 = whole)
+            lens)
+        (List.init 8 Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* format golden                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The bytes of a store's page file and of a document file for one
+   fixed fuzz document, pinned by length and CRC-32: the encoders and
+   checksums write exactly the store v3 / SCJDOC1 formats. *)
+let test_golden_bytes () =
+  with_dir (fun dir ->
+      let doc = Fuzz.doc Fuzz.Attr_heavy 5 in
+      let store = Store.create ~page_ints:16 ~path:dir doc in
+      Store.close store;
+      let scj = Filename.concat dir "doc.scj" in
+      Codec.write_file scj doc;
+      let fingerprint path =
+        let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+        (Bytes.length b, crc32_bytewise b ~pos:0 ~len:(Bytes.length b))
+      in
+      Alcotest.(check (pair int int)) "pages.scj" (11152, 0xc29d11e8)
+        (fingerprint (Filename.concat dir "pages.scj"));
+      Alcotest.(check (pair int int)) "doc.scj" (5613, 0x22d80d7a) (fingerprint scj))
+
+(* ------------------------------------------------------------------ *)
 (* roundtrip                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -174,6 +250,11 @@ let test_checksum_corruption () =
         | Error e ->
           Alcotest.(check bool) "diagnosis names the checksum" true
             (contains_sub (Err.to_string e) "checksum"));
+        (match Store.doc store with
+        | exception Store.Corrupt msg ->
+          Alcotest.(check bool) "materialization names the checksum" true
+            (contains_sub msg "checksum")
+        | _ -> Alcotest.fail "materialized a document over a corrupt post page");
         let paged = Store.paged store in
         (match Paged_doc.desc paged (Nodeseq.singleton 0) with
         | exception Store.Corrupt _ -> ()
@@ -184,6 +265,142 @@ let test_checksum_corruption () =
       match Store.open_ dir with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "open accepted a corrupt superblock")
+
+(* ------------------------------------------------------------------ *)
+(* materialization corruption                                          *)
+(* ------------------------------------------------------------------ *)
+
+let read_pages dir =
+  Bytes.of_string (In_channel.with_open_bin (Filename.concat dir "pages.scj") In_channel.input_all)
+
+let write_pages dir b =
+  Out_channel.with_open_bin (Filename.concat dir "pages.scj") (fun oc -> Out_channel.output_bytes oc b)
+
+let get_int b off = Int64.to_int (Bytes.get_int64_le b off)
+
+let set_int b off v = Bytes.set_int64_le b off (Int64.of_int v)
+
+(* superblock ints: 2 page_ints, 3 n_nodes, 5-7 column extent pages,
+   8 meta pages, 9 meta bytes *)
+let superblock b i = get_int b (8 * i)
+
+let meta_base b = 1 + superblock b 5 + superblock b 6 + superblock b 7
+
+(* Rewrite the meta extent in place and reseal every page touched (and
+   the superblock) with a freshly computed CRC, so the damage gets past
+   the checksums: [edit ~n blob] patches the blob, [meta_bytes] replaces
+   its recorded length. *)
+let reseal_meta dir ?meta_bytes edit =
+  let b = read_pages dir in
+  let data = 8 * superblock b 2 in
+  let st = data + 8 in
+  let base = meta_base b and pages = superblock b 8 in
+  let blob = Bytes.create (pages * data) in
+  for p = 0 to pages - 1 do
+    Bytes.blit b ((base + p) * st) blob (p * data) data
+  done;
+  edit ~n:(superblock b 3) blob;
+  let seal fpage = set_int b ((fpage * st) + data) (crc32_bytewise b ~pos:(fpage * st) ~len:data) in
+  for p = 0 to pages - 1 do
+    Bytes.blit blob (p * data) b ((base + p) * st) data;
+    seal (base + p)
+  done;
+  Option.iter
+    (fun m ->
+      set_int b (8 * 9) m;
+      seal 0)
+    meta_bytes;
+  write_pages dir b
+
+(* open must succeed and every page must verify; materializing must then
+   raise Corrupt mentioning [mentions] — no other exception, no answer *)
+let expect_corrupt_doc ~what ~mentions dir =
+  match Store.open_ dir with
+  | Error e -> Alcotest.failf "%s: open refused the store: %s" what (Err.to_string e)
+  | Ok store ->
+    Fun.protect
+      ~finally:(fun () -> Store.close store)
+      (fun () ->
+        match Store.doc store with
+        | _ -> Alcotest.failf "%s: materialized a document" what
+        | exception Store.Corrupt msg ->
+          if not (contains_sub msg mentions) then
+            Alcotest.failf "%s: diagnosis %S does not mention %S" what msg mentions
+        | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+
+let test_meta_checksum () =
+  with_dir (fun dir ->
+      let store = Store.create ~page_ints:16 ~path:dir (Fuzz.doc Fuzz.Uniform 2) in
+      Store.close store;
+      (* the extent's last page: every page of a one-read extent is verified *)
+      let b = read_pages dir in
+      let last = meta_base b + superblock b 8 - 1 in
+      flip_byte dir "pages.scj" ((last * ((16 * 8) + 8)) + 5);
+      expect_corrupt_doc ~what:"flipped meta byte" ~mentions:"checksum" dir;
+      expect_corrupt_doc ~what:"flipped meta byte" ~mentions:(Printf.sprintf "file page %d" last) dir)
+
+let test_meta_rows_corrupt () =
+  let doc = Fuzz.doc Fuzz.Attr_heavy 3 in
+  let fresh f =
+    with_dir (fun dir ->
+        let store = Store.create ~page_ints:16 ~path:dir doc in
+        Store.close store;
+        f dir)
+  in
+  fresh (fun dir ->
+      reseal_meta dir (fun ~n blob -> set_int blob ((16 * n) + 24) 7);
+      (match Store.open_ dir with
+      | Ok store ->
+        Alcotest.(check (result unit error_t)) "resealed pages verify" (Ok ()) (Store.verify store);
+        Store.close store
+      | Error e -> Alcotest.failf "open: %s" (Err.to_string e));
+      expect_corrupt_doc ~what:"bad kind code" ~mentions:"kind code" dir);
+  (* the root's tag row: presence flag at [24n], string length next *)
+  List.iter
+    (fun (what, len_of) ->
+      fresh (fun dir ->
+          let meta_bytes = superblock (read_pages dir) 9 in
+          reseal_meta dir (fun ~n blob -> set_int blob ((24 * n) + 8) (len_of meta_bytes));
+          expect_corrupt_doc ~what ~mentions:"string length" dir))
+    [
+      ("string length past meta_bytes", fun m -> m);
+      ("string length into the page padding", fun m -> m - (24 * Doc.n_nodes doc) - 16 + 1);
+      ("negative string length", fun _ -> -1);
+    ];
+  (* a shorter or longer recorded length within the same page count:
+     the rows end early, or bytes trail them *)
+  fresh (fun dir ->
+      let b = read_pages dir in
+      let m = superblock b 9 and data = 8 * superblock b 2 in
+      let first_of_last = (superblock b 8 - 1) * data in
+      Alcotest.(check bool) "last meta page holds two bytes or more" true (m - first_of_last >= 2);
+      Alcotest.(check bool) "last meta page has padding" true (m < first_of_last + data);
+      List.iter
+        (fun m' ->
+          reseal_meta dir ~meta_bytes:m' (fun ~n:_ _ -> ());
+          expect_corrupt_doc ~what:(Printf.sprintf "row section cut to %d of %d bytes" m' m)
+            ~mentions:"meta extent" dir)
+        [ m - 1; first_of_last + 1 ];
+      reseal_meta dir ~meta_bytes:(m + 1) (fun ~n:_ _ -> ());
+      expect_corrupt_doc ~what:"one trailing byte" ~mentions:"trailing" dir)
+
+(* a version-1 superblock (the format before logical mutation records;
+   same pages) opens and materializes like the version-2 store it was
+   patched from *)
+let test_v1_store_opens () =
+  with_dir (fun dir ->
+      let doc = Fuzz.doc Fuzz.Deep 1 in
+      Store.close (Store.create ~guide:false ~page_ints:16 ~path:dir doc);
+      let b = read_pages dir in
+      Alcotest.(check int) "written as version 2" 2 (superblock b 1);
+      set_int b 8 1;
+      set_int b (16 * 8) (crc32_bytewise b ~pos:0 ~len:(16 * 8));
+      write_pages dir b;
+      match Store.open_ dir with
+      | Error e -> Alcotest.failf "version-1 store refused: %s" (Err.to_string e)
+      | Ok store ->
+        check_parity ~what:"version-1 store" doc store;
+        Store.close store)
 
 let test_torn_wal_tail () =
   with_dir (fun dir ->
@@ -468,11 +685,20 @@ let test_mutation_recovery_fuzz () =
 let () =
   Alcotest.run "store"
     [
+      ( "crc32",
+        [
+          Alcotest.test_case "known answers" `Quick test_crc32_known_answer;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_bytewise;
+        ] );
       ( "store",
         [
+          Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "real preads" `Quick test_real_preads;
           Alcotest.test_case "checksum corruption" `Quick test_checksum_corruption;
+          Alcotest.test_case "meta page checksum" `Quick test_meta_checksum;
+          Alcotest.test_case "corrupt meta rows" `Quick test_meta_rows_corrupt;
+          Alcotest.test_case "version-1 store opens" `Quick test_v1_store_opens;
           Alcotest.test_case "torn WAL tail" `Quick test_torn_wal_tail;
           Alcotest.test_case "checkpoint" `Quick test_checkpoint;
           Alcotest.test_case "recovery fuzz" `Slow test_recovery_fuzz;

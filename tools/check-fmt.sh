@@ -3,14 +3,14 @@
 # via tools/dune, so `dune runtest` covers it).
 #
 # Checks every .ml/.mli with `ocamlformat --check` when the binary is
-# available; when it is missing (minimal CI images, the default
-# container) the check is skipped with success so the test suite stays
+# available.  When it is missing (minimal CI images) nothing is checked:
+# the script says so plainly and still exits 0, so the test suite stays
 # runnable everywhere.  ocamlformat is invoked directly rather than via
 # `dune build @fmt` because this script itself runs under dune.
 set -eu
 
 if ! command -v ocamlformat >/dev/null 2>&1; then
-  echo "check-fmt: ocamlformat not installed, skipping format check" >&2
+  echo "check-fmt: WARNING: ocamlformat is not installed -- formatting was NOT checked" >&2
   exit 0
 fi
 
