@@ -16,11 +16,10 @@
      Fig. 11 (f)  -> fig11f      Q2: same comparison
      §6           -> frag        tag-name fragmentation of Q1
      §4.2/4.3     -> copyphase   copy/scan phase composition and bandwidth
-     (cpu)        -> copykernel  blit copy kernels vs per-node, 1/2/4 domains
+     (cpu)        -> copykernel  blit copy kernels vs per-node
      §5           -> baselines   nodes touched: scj vs MPMGJN/structural/SQL
      (ablation)   -> ablation    skip modes x pushdown policies
-     §3.2/§6      -> parallel    partition-parallel staircase join
-     (morsel)     -> morsel      morsel scheduler vs serial/parallel, 1-8 workers
+     (morsel)     -> morsel      morsel scheduler vs serial, 1-8 workers
      (flwor)      -> flwor       compiled FLWOR value join vs interpreter oracle
 
    Absolute numbers differ from the paper (OCaml in a container vs. tuned
@@ -43,7 +42,6 @@ module Plan = Scj_plan.Plan
 module Eval = Scj_xpath.Eval
 module Xmark = Scj_xmlgen.Xmark
 module Fragmented = Scj_frag.Fragmented
-module Parallel = Scj_frag.Parallel
 module Morsel = Scj_frag.Morsel
 
 (* ------------------------------------------------------------------ *)
@@ -400,8 +398,7 @@ let copyphase () =
    the blit kernels (range fills over the attribute prefix-sum column)
    should beat the per-node append/kind-test/counter-bump loop that
    Sj.Reference keeps.  Also checks bit-identical results and counter
-   totals across every skip mode, and scales the parallel join over
-   1/2/4 domains. *)
+   totals across every skip mode. *)
 let copykernel () =
   header "CPU adaptation: blit copy-phase kernels ((root)/descendant, estimation)";
   let scale = List.fold_left max 0.0 (scales ()) in
@@ -439,59 +436,45 @@ let copykernel () =
   in
   line "blit" blit_ns ref_ns;
   Trace.annot !tracer "blit_speedup" (Printf.sprintf "%.2f" (ref_ns /. blit_ns));
-  (* the parallel rows need a multi-partition staircase: the Q1 profile
-     context (one partition per surviving context node, weighted
-     chunking balances the scan lengths) *)
+  (* the ctx rows run a multi-partition staircase: the Q1 profile
+     context (one partition per surviving context node) *)
   let _, profiles = q1_contexts doc in
   let ctx_stats = Stats.create () in
   let (_ : Nodeseq.t) =
     Sj.desc ~exec:(Exec.make ~mode:Sj.Estimation ~stats:ctx_stats ()) doc profiles
   in
   let ctx_work = ctx_stats.Stats.copied + ctx_stats.Stats.scanned in
-  let par_ref_ns =
-    measure_ns ~name:"par-pernode" (fun () ->
+  let ctx_ref_ns =
+    measure_ns ~name:"ctx-pernode" (fun () ->
         ignore (Sj.Reference.desc ~exec:(bench_exec ~mode:Sj.Estimation ()) doc profiles))
   in
-  line ~work:ctx_work "ctx per-node" par_ref_ns par_ref_ns;
+  line ~work:ctx_work "ctx per-node" ctx_ref_ns ctx_ref_ns;
   let ctx_blit_ns =
     measure_ns ~name:"ctx-blit" (fun () ->
         ignore (Sj.desc ~exec:(bench_exec ~mode:Sj.Estimation ()) doc profiles))
   in
-  line ~work:ctx_work "ctx blit" ctx_blit_ns par_ref_ns;
-  List.iter
-    (fun domains ->
-      let ns =
-        measure_ns
-          ~name:(Printf.sprintf "blit-par%d" domains)
-          (fun () ->
-            ignore
-              (Parallel.desc ~exec:(bench_exec ~mode:Sj.Estimation ~domains ()) doc profiles))
-      in
-      line ~work:ctx_work (Printf.sprintf "ctx blit %dd" domains) ns par_ref_ns)
-    [ 1; 2; 4 ];
+  line ~work:ctx_work "ctx blit" ctx_blit_ns ctx_ref_ns;
   Printf.printf "copy/scan composition: %d copied, %d scanned (counter parity: %b)\n"
     stats.Stats.copied stats.Stats.scanned parity;
   print_endline
-    "(the copy phase is comparison-free -- Equation (1) turns it into bulk range fills;\n\
-    \ parallel rows pay one Domain.spawn per worker per run, which dominates at small scales)"
+    "(the copy phase is comparison-free -- Equation (1) turns it into bulk range fills)"
 
 (* ------------------------------------------------------------------ *)
-(* morsel-driven execution: shared pool vs per-step domain spawns       *)
+(* morsel-driven execution: shared pool vs the serial join              *)
 (* ------------------------------------------------------------------ *)
 
-(* The morsel scheduler against the serial blit join and the per-step
-   Parallel join at 1/2/4/8 workers over the multi-partition Q1 profile
-   context.  Parity gate: at a morsel size small enough that every
-   partition splits into many chunks, results and counters must stay
-   bit-identical to the per-node Reference oracle for all four skip
-   modes.  The speedup annotations are achieved/required ratios (>= 1.0
-   means the target holds): at 4 workers on a host that really has >= 4
-   cores they are emitted as gated speedup_floor_* keys (morsel >= 2x
-   serial, morsel >= parallel); on smaller hosts the same ratios go out
-   as informational speedup_info_* keys, because a single-core container
-   cannot exhibit CPU parallelism at all. *)
+(* The morsel scheduler against the serial blit join at 1/2/4/8
+   workers over the multi-partition Q1 profile context.  Parity gate: at
+   a morsel size small enough that every partition splits into many
+   chunks, results and counters must stay bit-identical to the per-node
+   Reference oracle for all four skip modes.  The speedup annotations
+   are achieved/required ratios (>= 1.0 means the target holds): at 4
+   workers on a host that really has >= 4 cores the ratio is emitted as
+   a gated speedup_floor_* key (morsel >= 2x serial); on smaller hosts it
+   goes out as an informational speedup_info_* key, because a
+   single-core container cannot exhibit CPU parallelism at all. *)
 let morsel_bench () =
-  header "morsel-driven staircase join (Q1 step 2, estimation): serial vs parallel vs morsel";
+  header "morsel-driven staircase join (Q1 step 2, estimation): serial vs morsel";
   let scale = List.fold_left max 0.0 (scales ()) in
   let doc = doc_at scale in
   let _, profiles = q1_contexts doc in
@@ -527,15 +510,6 @@ let morsel_bench () =
   let cores = Domain.recommended_domain_count () in
   List.iter
     (fun workers ->
-      let par_ns =
-        measure_ns
-          ~name:(Printf.sprintf "parallel%d" workers)
-          (fun () ->
-            ignore
-              (Parallel.desc ~exec:(bench_exec ~mode:Sj.Estimation ~domains:workers ()) doc
-                 profiles))
-      in
-      line (Printf.sprintf "parallel %dw" workers) par_ns serial_ns;
       let mor_ns =
         measure_ns
           ~name:(Printf.sprintf "morsel%d" workers)
@@ -546,20 +520,16 @@ let morsel_bench () =
       in
       line (Printf.sprintf "morsel %dw" workers) mor_ns serial_ns;
       let vs_serial = serial_ns /. mor_ns /. 2.0 in
-      let vs_parallel = par_ns /. mor_ns in
       let tag = if workers = 4 && cores >= 4 then "floor" else "info" in
       Trace.annot !tracer
         (Printf.sprintf "speedup_%s_morsel2x_serial_w%d" tag workers)
-        (Printf.sprintf "%.3f" vs_serial);
-      Trace.annot !tracer
-        (Printf.sprintf "speedup_%s_morsel_vs_parallel_w%d" tag workers)
-        (Printf.sprintf "%.3f" vs_parallel))
+        (Printf.sprintf "%.3f" vs_serial))
     [ 1; 2; 4; 8 ];
   Printf.printf "counter parity vs per-node reference (all skip modes, morsel_size=512): %b\n"
     parity;
   print_endline
-    "(one pool batch per join vs one Domain.spawn per worker per step; the speedup_*\n\
-    \ annotations are achieved/required ratios -- bench-diff gates the floor keys)"
+    "(one pool batch per join; the speedup_* annotations are achieved/required\n\
+    \ ratios -- bench-diff gates the floor keys)"
 
 (* ------------------------------------------------------------------ *)
 (* §5: nodes touched, staircase vs. related joins                       *)
@@ -787,27 +757,6 @@ let guide_bench () =
     "parity (results identical, guide-auto <= flat-auto everywhere, strictly less >= once): \
      %b\n"
     ok
-
-(* ------------------------------------------------------------------ *)
-(* §3.2/§6: partition-parallel staircase join                           *)
-(* ------------------------------------------------------------------ *)
-
-let parallel () =
-  header "§3.2/§6: partition-parallel staircase join (Q2 ancestor step)";
-  let scale = List.fold_left max 0.0 (scales ()) in
-  let doc = doc_at scale in
-  let _, increases = q2_contexts doc in
-  Printf.printf "%10s %12s\n" "domains" "time[ms]";
-  List.iter
-    (fun domains ->
-      let ns =
-        measure_ns ~name:"parallel" (fun () ->
-            ignore (Parallel.anc ~exec:(bench_exec ~domains ()) doc increases))
-      in
-      Printf.printf "%10d %12.3f\n" domains (ms_of_ns ns))
-    [ 1; 2; 4 ];
-  let seq_ns = measure_ns ~name:"seq" (fun () -> ignore (Sj.anc doc increases)) in
-  Printf.printf "%10s %12.3f\n" "(seq)" (ms_of_ns seq_ns)
 
 (* ------------------------------------------------------------------ *)
 (* §6: disk-based operation — page faults under memory pressure         *)
@@ -1403,7 +1352,6 @@ let experiments =
     ("planner", planner_bench);
     ("guide", guide_bench);
     ("ablation", ablation);
-    ("parallel", parallel);
     ("morsel", morsel_bench);
     ("disk", disk);
     ("workload", workload);

@@ -80,7 +80,7 @@ let pushdown_conv =
 let strategy_doc =
   "Join-backend strategy: auto (cost-based planner), auto-flat (planner without the \
    dataguide), guide (force path partitions), staircase, staircase-noskip, staircase-skip, \
-   staircase-estimate, staircase-exact, parallel, paged, naive, sql, sql-nodelimiter, \
+   staircase-estimate, staircase-exact, morsel, paged, naive, sql, sql-nodelimiter, \
    mpmgjn, structjoin."
 
 let strategy_arg =
@@ -980,7 +980,7 @@ let serve_cmd =
       value & opt int 0
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Worker domains (0 = auto: \\$(b,SCJ_DOMAINS) or the hardware count, capped at 8). \
+            "Worker domains (0 = auto: the hardware count, capped at 8). \
              Clamped to what the hardware supports.")
   in
   let deadline_ms =

@@ -77,9 +77,11 @@ let () =
   Printf.printf "fragmented Q1: %d profiles -> %d educations in %.2f ms (+%.1f ms one-off build)\n"
     (Nodeseq.length profiles) (Nodeseq.length educations) frag_ms build_ms;
 
-  (* partition-parallel execution *)
+  (* morsel-driven execution over the shared domain pool *)
   let increases = Nodeseq.of_sorted_array (Doc.tag_positions doc "increase") in
   let seq_result, seq_ms = time (fun () -> Sj.anc doc increases) in
-  let par_result, par_ms = time (fun () -> Scj.Parallel.anc ~exec:(Scj.Exec.make ~domains:4 ()) doc increases) in
-  assert (Nodeseq.equal seq_result par_result);
-  Printf.printf "parallel ancestor step: sequential %.2f ms, 4 domains %.2f ms\n" seq_ms par_ms
+  let mor_result, mor_ms =
+    time (fun () -> Scj.Morsel.anc ~exec:(Scj.Exec.make ~domains:4 ()) doc increases)
+  in
+  assert (Nodeseq.equal seq_result mor_result);
+  Printf.printf "morsel ancestor step: sequential %.2f ms, 4 domains %.2f ms\n" seq_ms mor_ms

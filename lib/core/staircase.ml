@@ -110,7 +110,7 @@ type partition = { scan_from : int; scan_to : int; boundary_post : int }
 
 (* Partitions of a context that is already a pruned staircase — the O(n)
    prune is *not* re-run, so callers that prune once (the joins below,
-   Scj_frag.Parallel) never pay for it twice. *)
+   Scj_frag.Morsel) never pay for it twice. *)
 let desc_partitions_pruned doc context =
   let posts = Doc.post_array doc in
   let ctx = Nodeseq.unsafe_array context in

@@ -29,18 +29,21 @@ module Update = Scj_encoding.Update
 type t
 
 (** [open_ ?strategy ?domains path] opens a store directory, a codec
-    file, or an XML file.  Errors: [Io] (missing path), [Parse] (bad
-    XML), [Corrupt]/[Incomplete]/[Recovery]/[Validation] from the store
+    file, or an XML file.  [strategy] and [domains] go to every session
+    the handle builds ({!Scj_xpath.Eval.session}): [domains] is only the
+    batch width of a forced morsel join, and plans never depend on it.
+    Errors: [Io] (missing path), [Parse] (bad XML),
+    [Corrupt]/[Incomplete]/[Recovery]/[Validation] from the store
     layer. *)
 val open_ :
   ?strategy:Scj_xpath.Eval.strategy -> ?domains:int -> string -> (t, Scj_error.Error.t) result
 
 (** Wrap an in-memory document (no backing; {!apply} mutates only the
-    handle). *)
+    handle).  [strategy] and [domains] as for {!open_}. *)
 val of_doc : ?strategy:Scj_xpath.Eval.strategy -> ?domains:int -> Doc.t -> t
 
 (** Wrap an already-open store (ownership transfers: {!close} closes
-    it). *)
+    it).  [strategy] and [domains] as for {!open_}. *)
 val of_store :
   ?strategy:Scj_xpath.Eval.strategy ->
   ?domains:int ->

@@ -1,9 +1,8 @@
 (* Morsel-driven intra-query parallelism (Leis et al., "Morsel-Driven
    Parallelism").  A staircase join is split into fixed-size morsels —
    contiguous chunks of the document table, ~16–64K nodes each — that a
-   shared pool of worker domains claims one at a time.  Unlike
-   [Parallel]'s per-step fork/join (spawn [domains-1] domains, join them,
-   repeat for the next step), the pool is persistent: a multi-step plan
+   shared pool of worker domains claims one at a time.  There is no
+   per-step fork/join: the pool is persistent, a multi-step plan
    submits one batch per join and the same hot domains pull morsels from
    every batch, and from every concurrent query, with no spawn/join on
    any step boundary.  The server's query workers draw from the very same
@@ -287,8 +286,8 @@ let chunked ~morsel_size ~lo ~hi mk acc =
   done;
   !acc
 
-(* Ops for one descendant partition, mirroring
-   [Parallel.scan_desc_partition] phase for phase. *)
+(* Ops for one descendant partition, mirroring the serial
+   [Sj.desc] partition scan phase for phase. *)
 let desc_partition_ops ~mode ~sizes ~morsel_size (p : Sj.partition) acc =
   let boundary = p.Sj.boundary_post in
   let c = p.Sj.scan_from - 1 in

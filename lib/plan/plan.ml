@@ -26,7 +26,6 @@ type logical = L_source of source | L_step of logical * step | L_union of logica
 
 type backend =
   | Serial of Exec.skip_mode
-  | Parallel of Exec.skip_mode
   | Morsel of Exec.skip_mode
   | Paged
   | Btree of { delimiter : bool }
@@ -92,7 +91,6 @@ let skip_mode_to_string = Exec.skip_mode_to_string
 
 let backend_to_string = function
   | Serial mode -> Printf.sprintf "staircase join (serial, %s)" (skip_mode_to_string mode)
-  | Parallel mode -> Printf.sprintf "staircase join (parallel, %s)" (skip_mode_to_string mode)
   | Morsel mode -> Printf.sprintf "staircase join (morsel, %s)" (skip_mode_to_string mode)
   | Paged -> "staircase join (paged, estimation)"
   | Btree { delimiter } ->

@@ -5,7 +5,7 @@
     duplicate elimination — rewritten by {!Planner.rewrite}, and lowered
     by {!Planner.plan} into a {e physical} plan whose every partitioning
     step carries the join backend the cost model selected (serial blit
-    staircase × skip mode, partition-parallel staircase, paged staircase,
+    staircase × skip mode, morsel-driven staircase, paged staircase,
     the B+-tree/SQL plan of Fig. 3, MPMGJN, structural join, or the naive
     per-context-node region query) together with its cost estimates.  The
     physical tree is what executes: {!Planner.execute} interprets it
@@ -57,7 +57,6 @@ type logical =
 
 type backend =
   | Serial of Exec.skip_mode  (** blit staircase join, §3 *)
-  | Parallel of Exec.skip_mode  (** partition-parallel staircase join *)
   | Morsel of Exec.skip_mode  (** morsel-driven join over the shared pool *)
   | Paged  (** staircase join over the buffer pool (estimation mode) *)
   | Btree of { delimiter : bool }  (** the Fig.-3 B+-tree/SQL plan *)

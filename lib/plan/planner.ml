@@ -6,7 +6,6 @@ module Sj = Scj_core.Staircase
 module Axis = Scj_encoding.Axis
 module Int_col = Scj_bat.Int_col
 module Stats = Scj_stats.Stats
-module Parallel_join = Scj_frag.Parallel
 module Morsel_join = Scj_frag.Morsel
 module Paged_doc = Scj_pager.Paged_doc
 module Naive_join = Scj_engine.Naive
@@ -179,7 +178,6 @@ let policy_to_string p =
     | Auto -> if p.guide then "auto" else "auto-flat"
     | Force Guide_partition -> "guide"
     | Force (Serial mode) -> "staircase/" ^ Exec.skip_mode_to_string mode
-    | Force (Parallel mode) -> "parallel/" ^ Exec.skip_mode_to_string mode
     | Force (Morsel mode) -> "morsel/" ^ Exec.skip_mode_to_string mode
     | Force Paged -> "paged"
     | Force (Btree { delimiter }) -> if delimiter then "sql+delimiter" else "sql"
@@ -331,13 +329,10 @@ let out_tag sum (s : step) =
   | Any_node when s.axis = Axis.Self -> sum.tag
   | Name _ | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None
 
-(* Per-spawn overhead charged to the parallel backend, in touched-node
-   units — keeps it from winning tiny joins. *)
-let spawn_cost = 8192.
-
-(* Per-join overhead charged to the morsel backend: the pool is
-   persistent (no spawns), so one batch costs only its submit/claim
-   traffic — why Auto prefers morsels over per-step forked domains. *)
+(* Per-join overhead charged to a forced morsel join: one pool batch
+   (submit/claim traffic, per-morsel counters, the result merge) on top
+   of the serial work.  Costs are total work, never divided by a core
+   count, so a plan does not depend on the host. *)
 let batch_cost = 1024.
 
 let log2 x = log (max 2. x) /. log 2.
@@ -369,7 +364,7 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds
     let cost =
       match backend with
       | Naive -> float_of_int sum.card *. float_of_int st.n_nodes
-      | Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
+      | Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
       | Guide_partition ->
         float_of_int touches
     in
@@ -446,11 +441,7 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds
       in
       scan +. tail
     in
-    let parallel_cost mode =
-      ((serial_scan mode +. tail) /. float_of_int cat.domains)
-      +. (spawn_cost *. float_of_int cat.domains)
-    in
-    let morsel_cost mode = ((serial_scan mode +. tail) /. float_of_int cat.domains) +. batch_cost in
+    let morsel_cost mode = serial_scan mode +. tail +. batch_cost in
     let btree_cost = (kf *. log2 n) +. (2. *. tf) +. (tf *. log2 tf) in
     let merge_cost = n +. tf in
     let naive_cost = kf *. n in
@@ -469,7 +460,6 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds
         let cost =
           match b with
           | Serial mode -> serial_cost mode
-          | Parallel mode -> parallel_cost mode
           | Morsel mode -> morsel_cost mode
           | Paged -> 4. *. serial_cost Exec.Estimation
           | Btree _ -> btree_cost
@@ -483,33 +473,20 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds
         (b, cost, [], push, push_note)
       | Auto ->
         let candidates =
-          ("staircase(serial/estimation)", Serial Exec.Estimation, serial_cost Exec.Estimation)
-          :: List.concat
-               [
-                 (if cat.domains > 1 then
-                    [
-                      ( "staircase(parallel/estimation)",
-                        Parallel Exec.Estimation,
-                        parallel_cost Exec.Estimation );
-                      ( "staircase(morsel/estimation)",
-                        Morsel Exec.Estimation,
-                        morsel_cost Exec.Estimation );
-                    ]
-                  else []);
-                 [
-                   ("sql-btree", Btree { delimiter = true }, btree_cost);
-                   ("mpmgjn", Mpmgjn, merge_cost);
-                   ("structjoin", Structjoin, merge_cost);
-                   ("naive", Naive, naive_cost);
-                 ];
-                 (* appended last: on a cost tie the earlier candidate
-                    wins, so the partition only displaces a backend it
-                    strictly beats *)
-                 (match gpart_info with
-                 | Some (_, _, size) when policy.pushdown <> `Never ->
-                   [ ("staircase(guide-partition)", Guide_partition, guide_cost size) ]
-                 | Some _ | None -> []);
-               ]
+          [
+            ("staircase(serial/estimation)", Serial Exec.Estimation, serial_cost Exec.Estimation);
+            ("sql-btree", Btree { delimiter = true }, btree_cost);
+            ("mpmgjn", Mpmgjn, merge_cost);
+            ("structjoin", Structjoin, merge_cost);
+            ("naive", Naive, naive_cost);
+          ]
+          (* appended last: on a cost tie the earlier candidate wins, so
+             the partition only displaces a backend it strictly beats *)
+          @
+          match gpart_info with
+          | Some (_, _, size) when policy.pushdown <> `Never ->
+            [ ("staircase(guide-partition)", Guide_partition, guide_cost size) ]
+          | Some _ | None -> []
         in
         let (wname, wbackend, wcost) =
           List.fold_left
@@ -866,13 +843,13 @@ let run_join cat exec ~dir ~backend ~push context =
   | Following -> (
     match backend with
     | Naive -> (Naive_join.step ~exec doc context Axis.Following, false)
-    | Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
+    | Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
     | Guide_partition ->
       (Sj.following ~exec doc context, false))
   | Preceding -> (
     match backend with
     | Naive -> (Naive_join.step ~exec doc context Axis.Preceding, false)
-    | Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
+    | Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
     | Guide_partition ->
       (Sj.preceding ~exec doc context, false))
   | (Desc | Anc) as dir -> (
@@ -901,11 +878,9 @@ let run_join cat exec ~dir ~backend ~push context =
         | None -> ((if descending then Sj.desc else Sj.anc) ~exec doc context, false))
       | No_push | Push_tag _ | Push_elements ->
         ((if descending then Sj.desc else Sj.anc) ~exec doc context, false))
-    | Parallel mode ->
-      let exec = Exec.with_mode exec mode in
-      ((if descending then Parallel_join.desc else Parallel_join.anc) ~exec doc context, false)
     | Morsel mode ->
-      let exec = Exec.with_mode exec mode in
+      (* the catalog's domain budget is the batch width *)
+      let exec = { (Exec.with_mode exec mode) with Exec.domains = cat.domains } in
       ((if descending then Morsel_join.desc else Morsel_join.anc) ~exec doc context, false)
     | Paged -> (
       match cat.paged with
@@ -1004,7 +979,7 @@ let exec_step cat exec context (ps : phys_step) =
         | Join
             {
               dir = (Desc | Anc) as dir;
-              backend = Serial _ | Parallel _ | Morsel _ | Paged | Guide_partition;
+              backend = Serial _ | Morsel _ | Paged | Guide_partition;
               _;
             } ->
           let partitions =

@@ -24,8 +24,9 @@ module Sj = Scj_core.Staircase
 type t
 
 (** [catalog ?paged ?domains ?guide doc] — [domains] (default
-    {!Exec.default_domains}) bounds what the cost model assumes for the
-    parallel backend; [paged] makes the paged staircase join plannable;
+    {!Exec.default_domains}) is the batch width of a forced morsel join;
+    the cost model never reads it, so plans do not depend on it;
+    [paged] makes the paged staircase join plannable;
     [guide] seeds the dataguide (e.g. one deserialized from a store)
     instead of the lazy first-use build. *)
 val catalog :

@@ -61,7 +61,7 @@ module Xq_compile = Scj_xquery.Xq_compile
 (** {1 Fragmentation & parallelism} *)
 
 module Fragmented = Scj_frag.Fragmented
-module Parallel = Scj_frag.Parallel
+module Morsel = Scj_frag.Morsel
 
 (** {1 XML input/output & generators} *)
 

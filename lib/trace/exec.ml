@@ -32,18 +32,9 @@ let no_check = ignore
    cores). *)
 let clamp_domains n = max 1 (min n (Domain.recommended_domain_count ()))
 
-(* The default domain budget: the hardware count, capped at 8 unless the
-   [SCJ_DOMAINS] env var overrides the cap (still clamped to the
-   hardware count — oversubscribing domains only adds scheduling
-   noise). *)
-let recommended_domains =
-  lazy
-    (let cap =
-       match Option.bind (Sys.getenv_opt "SCJ_DOMAINS") int_of_string_opt with
-       | Some n when n >= 1 -> n
-       | Some _ | None -> 8
-     in
-     clamp_domains cap)
+(* The default domain budget: the hardware count, capped at 8
+   (oversubscribing domains only adds scheduling noise). *)
+let recommended_domains = lazy (clamp_domains 8)
 
 let default_domains () = Lazy.force recommended_domains
 

@@ -2,7 +2,7 @@
 
     Every query-path entry point in this repository — the staircase join
     and its baselines, the XPath evaluator, the fragmentation layer, the
-    parallel join — takes one optional [Exec.t] instead of scattered
+    morsel join — takes one optional [Exec.t] instead of scattered
     [?mode]/[?stats]/[?domains] optional arguments.  The record bundles:
 
     - the {!skip_mode} of §3.3 (which skipping variant the staircase join
@@ -10,7 +10,7 @@
     - the {!Scj_stats.Stats.t} counter set every inner loop bumps;
     - an optional {!Trace.t} recording hierarchical spans for
       EXPLAIN ANALYZE (absent by default: tracing costs nothing when off);
-    - the domain (worker) count for the partition-parallel join.
+    - the domain (worker) count: the batch width of the morsel join.
 
     [Exec.t] is immutable; its [stats] field is the shared mutable
     accumulator.  Derive a variant with {!with_mode} rather than
@@ -35,13 +35,13 @@ type t = {
   mode : skip_mode;  (** skipping variant for staircase joins *)
   stats : Scj_stats.Stats.t;  (** shared work-counter accumulator *)
   trace : Trace.t option;  (** span recorder, [None] when not analyzing *)
-  domains : int;  (** worker count for {!Scj_frag.Parallel} *)
+  domains : int;  (** batch width of {!Scj_frag.Morsel} joins *)
   check : unit -> unit;
       (** cancellation hook, invoked by the joins between partition scans
           and by the evaluator between steps ({!checkpoint}).  Raising from
           it aborts the query at the next checkpoint — how the query
           service enforces per-query deadlines.  Must be domain-safe: the
-          partition-parallel join calls it from every worker.  Default:
+          morsel join calls it from every worker.  Default:
           a no-op. *)
 }
 
@@ -62,9 +62,9 @@ val make :
     it; the blessed constructor for EXPLAIN ANALYZE runs. *)
 val traced : ?mode:skip_mode -> ?domains:int -> unit -> t
 
-(** [Domain.recommended_domain_count], capped at 8 by default; the cap is
-    configurable via the [SCJ_DOMAINS] env var (still clamped to the
-    hardware count). *)
+(** [Domain.recommended_domain_count], capped at 8.  Sizes the shared
+    pool and the server's workers; explicit widths come from the callers
+    ([--workers], [?domains]). *)
 val default_domains : unit -> int
 
 (** [clamp_domains n] — [n] forced into [1 ..

@@ -36,7 +36,6 @@ let strategy_names =
     "staircase-skip";
     "staircase-estimate";
     "staircase-exact";
-    "parallel";
     "morsel";
     "paged";
     "sql";
@@ -56,7 +55,6 @@ let strategy_of_string name =
   | "staircase-noskip" -> forced (Plan.Serial Exec.No_skipping)
   | "staircase-skip" -> forced (Plan.Serial Exec.Skipping)
   | "staircase-exact" -> forced (Plan.Serial Exec.Exact_size)
-  | "parallel" -> forced (Plan.Parallel Exec.Estimation)
   | "morsel" -> forced (Plan.Morsel Exec.Estimation)
   | "paged" -> forced Plan.Paged
   | "sql" -> forced (Plan.Btree { delimiter = true })

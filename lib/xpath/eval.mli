@@ -4,7 +4,7 @@
     rewritten ({!Scj_plan.Planner.rewrite} — step fusion, prune hoisting,
     predicate reordering), and lowered by the cost-based planner into a
     physical operator tree that names the join backend of every
-    partitioning step (serial blit staircase × skip mode, the parallel
+    partitioning step (serial blit staircase × skip mode, the morsel
     and paged staircase variants, the Fig.-3 B+-tree/SQL plan, MPMGJN,
     structural join, or naive region queries).  {!eval_path} executes
     that tree; {!explain}, {!plan_json} and {!analyze} render the very
@@ -41,7 +41,7 @@ val strategy_to_string : strategy -> string
 
 (** CLI spellings accepted by {!strategy_of_string}: [auto], [auto-flat],
     [guide], [staircase],
-    [staircase-noskip]/[-skip]/[-estimate]/[-exact], [parallel], [paged],
+    [staircase-noskip]/[-skip]/[-estimate]/[-exact], [morsel], [paged],
     [sql], [sql-nodelimiter], [mpmgjn], [structjoin], [naive]. *)
 val strategy_names : string list
 
@@ -50,7 +50,9 @@ val strategy_of_string : string -> strategy option
 (** A session owns the planner catalog for one document: memoized
     statistics, tag/element views, the B+-tree index, and the plan cache.
     [paged] attaches a buffer-pool rendition so the paged staircase
-    backend becomes plannable; [domains] bounds the parallel backend;
+    backend becomes plannable; [domains] is the batch width of a forced
+    morsel join (the planner never costs with it, so plans are the same
+    at any value);
     [guide] seeds the catalog's dataguide (e.g. one a store
     deserialized) instead of the lazy first-use build. *)
 type session

@@ -5,13 +5,13 @@
    the implementations that claim to agree and held against the
    O(n·|ctx|) specification oracle:
 
-   - results: blit Staircase = Staircase.Reference = Parallel = Morsel =
+   - results: blit Staircase = Staircase.Reference = Morsel =
      Paged_doc = Sql_plan index plan = spec_step, for every skip mode;
-   - counters: the blit joins, the per-node Reference, the
-     partition-parallel join and the morsel-driven join must produce
-     identical work-counter totals per mode (the morsel run at a tiny
-     morsel size, so chunk boundaries actually cut through partitions),
-     and Paged_doc must match the in-memory Estimation run.
+   - counters: the blit joins, the per-node Reference and the
+     morsel-driven join must produce identical work-counter totals per
+     mode (the morsel run at a tiny morsel size, so chunk boundaries
+     actually cut through partitions), and Paged_doc must match the
+     in-memory Estimation run.
 
    Failures print the (shape, seed) pair — rerun with exactly those to
    reproduce. *)
@@ -22,7 +22,6 @@ module Axis = Scj_encoding.Axis
 module Stats = Scj_stats.Stats
 module Exec = Scj_trace.Exec
 module Sj = Scj_core.Staircase
-module Parallel = Scj_frag.Parallel
 module Morsel = Scj_frag.Morsel
 module Sql_plan = Scj_engine.Sql_plan
 module Paged_doc = Scj_pager.Paged_doc
@@ -60,10 +59,9 @@ let differential shape seed =
   let ctx = Fuzz.context doc seed in
   let idx = Sql_plan.build_index doc in
   let oracle axis = Test_support.spec_step doc axis ctx in
-  (* descendant / ancestor: blit vs reference vs parallel vs morsel vs
-     oracle *)
+  (* descendant / ancestor: blit vs reference vs morsel vs oracle *)
   List.iter
-    (fun (axis, blit, reference, par, morsel) ->
+    (fun (axis, blit, reference, morsel) ->
       let expected = oracle axis in
       List.iter
         (fun mode ->
@@ -73,33 +71,26 @@ let differential shape seed =
           let r_ref, s_ref =
             run_counted (fun stats -> reference (Exec.make ~mode ~stats ()) doc ctx)
           in
-          let r_par, s_par =
-            run_counted (fun stats -> par (Exec.make ~mode ~stats ~domains:2 ()) doc ctx)
-          in
           let r_mor, s_mor =
             run_counted (fun stats -> morsel (Exec.make ~mode ~stats ~domains:2 ()) doc ctx)
           in
           let m = Sj.skip_mode_to_string mode in
           check_result shape seed ~what:(m ^ " blit vs oracle") expected r_blit;
           check_result shape seed ~what:(m ^ " reference vs oracle") expected r_ref;
-          check_result shape seed ~what:(m ^ " parallel vs oracle") expected r_par;
           check_result shape seed ~what:(m ^ " morsel vs oracle") expected r_mor;
           check_counters shape seed ~what:(m ^ " blit vs reference") s_blit s_ref;
-          check_counters shape seed ~what:(m ^ " blit vs parallel") s_blit s_par;
           check_counters shape seed ~what:(m ^ " blit vs morsel") s_blit s_mor)
         all_modes)
     [
       ( Axis.Descendant,
         (fun e -> Sj.desc ~exec:e),
         (fun e -> Sj.Reference.desc ~exec:e),
-        (fun e -> Parallel.desc ~exec:e),
         (* morsel_size 8: even the small fuzz documents split into many
            morsels, so the chunked copy/scan decomposition is exercised *)
         fun e doc ctx -> Morsel.desc ~morsel_size:8 ~exec:e doc ctx );
       ( Axis.Ancestor,
         (fun e -> Sj.anc ~exec:e),
         (fun e -> Sj.Reference.anc ~exec:e),
-        (fun e -> Parallel.anc ~exec:e),
         fun e doc ctx -> Morsel.anc ~morsel_size:8 ~exec:e doc ctx );
     ];
   (* following / preceding: blit vs per-node reference vs oracle *)

@@ -1,4 +1,4 @@
-(* Tests for tag-name fragmentation and the partition-parallel staircase
+(* Tests for tag-name fragmentation and the morsel-driven staircase
    join (lib/frag). *)
 
 module Doc = Scj_encoding.Doc
@@ -8,7 +8,6 @@ module Axis = Scj_encoding.Axis
 module Stats = Scj_stats.Stats
 module Sj = Scj_core.Staircase
 module Fragmented = Scj_frag.Fragmented
-module Parallel = Scj_frag.Parallel
 module Morsel = Scj_frag.Morsel
 
 let nodeseq = Alcotest.testable Nodeseq.pp Nodeseq.equal
@@ -109,82 +108,7 @@ let prop_fragment_steps_agree =
       Nodeseq.equal (Fragmented.desc_step f ctx ~tag) (filter_tag (Sj.desc d ctx))
       && Nodeseq.equal (Fragmented.anc_step f ctx ~tag) (filter_tag (Sj.anc d ctx)))
 
-(* ------------------------------------------------------------------ *)
-(* parallel                                                            *)
-(* ------------------------------------------------------------------ *)
-
 let all_modes = [ Sj.No_skipping; Sj.Skipping; Sj.Estimation; Sj.Exact_size ]
-
-let test_parallel_paper () =
-  let d = doc () in
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun mode ->
-          Alcotest.check nodeseq
-            (Printf.sprintf "desc domains=%d mode=%s" domains (Sj.skip_mode_to_string mode))
-            (Sj.desc d (seq [ "b"; "e" ]))
-            (Parallel.desc ~exec:(Exec.make ~domains ~mode ()) d (seq [ "b"; "e" ]));
-          Alcotest.check nodeseq
-            (Printf.sprintf "anc domains=%d mode=%s" domains (Sj.skip_mode_to_string mode))
-            (Sj.anc d (seq [ "g"; "j" ]))
-            (Parallel.anc ~exec:(Exec.make ~domains ~mode ()) d (seq [ "g"; "j" ])))
-        all_modes)
-    [ 1; 2; 4 ]
-
-let test_parallel_empty_context () =
-  let d = doc () in
-  Alcotest.check nodeseq "empty" Nodeseq.empty (Parallel.desc ~exec:(Exec.make ~domains:4 ()) d Nodeseq.empty)
-
-let test_parallel_xmark () =
-  let d = Lazy.force xmark in
-  let increases = Nodeseq.of_sorted_array (Doc.tag_positions d "increase") in
-  Alcotest.check nodeseq "parallel anc on xmark" (Sj.anc d increases)
-    (Parallel.anc ~exec:(Exec.make ~domains:4 ()) d increases);
-  let profiles = Nodeseq.of_sorted_array (Doc.tag_positions d "profile") in
-  Alcotest.check nodeseq "parallel desc on xmark" (Sj.desc d profiles)
-    (Parallel.desc ~exec:(Exec.make ~domains:4 ()) d profiles)
-
-let prop_parallel_agrees =
-  List.map
-    (fun mode ->
-      QCheck.Test.make ~count:100
-        ~name:(Printf.sprintf "parallel = sequential (%s)" (Sj.skip_mode_to_string mode))
-        (Test_support.doc_with_context_arbitrary ())
-        (fun (d, ctx) ->
-          Nodeseq.equal (Parallel.desc ~exec:(Exec.make ~domains:3 ~mode ()) d ctx) (Sj.desc ~exec:(Exec.make ~mode ()) d ctx)
-          && Nodeseq.equal (Parallel.anc ~exec:(Exec.make ~domains:3 ~mode ()) d ctx) (Sj.anc ~exec:(Exec.make ~mode ()) d ctx)))
-    all_modes
-
-(* A parallel run must report the counters of a serial one — the prune
-   runs once on the coordinating thread, per-worker counters are plain
-   sums, and the blit copy phases batch their updates identically to the
-   per-node reference.  Check totals against Sj.Reference across all
-   modes and worker counts. *)
-let prop_parallel_counter_parity =
-  List.concat_map
-    (fun mode ->
-      List.map
-        (fun domains ->
-          QCheck.Test.make ~count:100
-            ~name:
-              (Printf.sprintf "parallel counters = per-node reference (%s, %d domains)"
-                 (Sj.skip_mode_to_string mode) domains)
-            (Test_support.doc_with_context_arbitrary ())
-            (fun (d, ctx) ->
-              let s_par = Stats.create () and s_ref = Stats.create () in
-              let r_par = Parallel.desc ~exec:(Exec.make ~mode ~domains ~stats:s_par ()) d ctx in
-              let r_ref = Sj.Reference.desc ~exec:(Exec.make ~mode ~stats:s_ref ()) d ctx in
-              let a_par = Parallel.anc ~exec:(Exec.make ~mode ~domains ~stats:s_par ()) d ctx in
-              let a_ref = Sj.Reference.anc ~exec:(Exec.make ~mode ~stats:s_ref ()) d ctx in
-              if not (Nodeseq.equal r_par r_ref && Nodeseq.equal a_par a_ref) then
-                QCheck.Test.fail_reportf "results differ"
-              else if Stats.all_assoc s_par <> Stats.all_assoc s_ref then
-                QCheck.Test.fail_reportf "counters differ:@.par %s@.ref %s" (Stats.to_json s_par)
-                  (Stats.to_json s_ref)
-              else true))
-        [ 1; 4 ])
-    all_modes
 
 (* ------------------------------------------------------------------ *)
 (* morsel                                                              *)
@@ -223,7 +147,7 @@ let test_morsel_xmark () =
 
 (* Worker exceptions surface at the submitter: a batch whose task raises
    must cancel the remainder and re-raise the first failure — this is
-   the abort-path contract Parallel shares via the pool. *)
+   the abort-path contract every pool batch relies on. *)
 let test_pool_propagates_exceptions () =
   let pool = Morsel.Pool.create ~workers:2 () in
   let hits = Atomic.make 0 in
@@ -296,8 +220,7 @@ let prop_morsel_counter_parity =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    ((prop_fragment_steps_agree :: (prop_parallel_agrees @ prop_morsel_agrees))
-    @ prop_parallel_counter_parity @ prop_morsel_counter_parity)
+    ((prop_fragment_steps_agree :: prop_morsel_agrees) @ prop_morsel_counter_parity)
 
 let () =
   Alcotest.run "scj_frag"
@@ -310,12 +233,6 @@ let () =
           Alcotest.test_case "ancestor steps" `Quick test_anc_step_paper;
           Alcotest.test_case "xmark Q1 equivalence + savings" `Quick
             test_fragment_matches_full_join_on_xmark;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "paper doc, all modes/domains" `Quick test_parallel_paper;
-          Alcotest.test_case "empty context" `Quick test_parallel_empty_context;
-          Alcotest.test_case "xmark steps" `Quick test_parallel_xmark;
         ] );
       ( "morsel",
         [

@@ -15,7 +15,7 @@ module Stats = Scj_stats.Stats
 module Exec = Scj_trace.Exec
 module Trace = Scj_trace.Trace
 module Sj = Scj_core.Staircase
-module Parallel = Scj_frag.Parallel
+module Morsel = Scj_frag.Morsel
 module Eval = Scj_xpath.Eval
 module Plan = Scj_plan.Plan
 
@@ -23,9 +23,7 @@ let xmark = lazy (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.confi
 
 let explain strategy path =
   let doc = Lazy.force xmark in
-  (* one domain, whatever the host: the auto golden's rejected lines
-     depend on the planner's domain budget *)
-  let session = Eval.session ~strategy ~domains:1 doc in
+  let session = Eval.session ~strategy doc in
   match Scj_xpath.Parse.path path with
   | Error e -> Alcotest.failf "parse error: %s" e
   | Ok p -> Eval.explain session p
@@ -377,13 +375,14 @@ let test_analyze_json_shape () =
     [ "\"name\":\"query:"; "\"elapsed_ms\":"; "\"work\":{\"scanned\":"; "\"children\":[" ]
 
 (* ------------------------------------------------------------------ *)
-(* serial / parallel counter parity                                     *)
+(* serial / morsel counter parity                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The parallel join merges per-worker counters with Stats.add; the merged
+(* The morsel join merges per-morsel counters with Stats.add; the merged
    totals must be indistinguishable from the serial run (per skip mode,
-   both directions). *)
-let test_parallel_counters_match_serial () =
+   both directions).  256-node morsels split the XMark partitions, so
+   chunk boundaries fall inside copy and scan phases. *)
+let test_morsel_counters_match_serial () =
   let doc = Lazy.force xmark in
   let profiles = Nodeseq.of_sorted_array (Doc.tag_positions doc "profile") in
   let increases = Nodeseq.of_sorted_array (Doc.tag_positions doc "increase") in
@@ -392,9 +391,12 @@ let test_parallel_counters_match_serial () =
       List.iter
         (fun domains ->
           let serial_desc = Stats.create () in
-          let par_desc = Stats.create () in
+          let mor_desc = Stats.create () in
           let r1 = Sj.desc ~exec:(Exec.make ~mode ~stats:serial_desc ()) doc profiles in
-          let r2 = Parallel.desc ~exec:(Exec.make ~mode ~domains ~stats:par_desc ()) doc profiles in
+          let r2 =
+            Morsel.desc ~morsel_size:256 ~exec:(Exec.make ~mode ~domains ~stats:mor_desc ()) doc
+              profiles
+          in
           Alcotest.(check bool)
             (Printf.sprintf "desc results agree (%s, %d domains)" (Sj.skip_mode_to_string mode)
                domains)
@@ -402,11 +404,14 @@ let test_parallel_counters_match_serial () =
           Alcotest.(check (list (pair string int)))
             (Printf.sprintf "desc counters agree (%s, %d domains)" (Sj.skip_mode_to_string mode)
                domains)
-            (Stats.all_assoc serial_desc) (Stats.all_assoc par_desc);
+            (Stats.all_assoc serial_desc) (Stats.all_assoc mor_desc);
           let serial_anc = Stats.create () in
-          let par_anc = Stats.create () in
+          let mor_anc = Stats.create () in
           let r1 = Sj.anc ~exec:(Exec.make ~mode ~stats:serial_anc ()) doc increases in
-          let r2 = Parallel.anc ~exec:(Exec.make ~mode ~domains ~stats:par_anc ()) doc increases in
+          let r2 =
+            Morsel.anc ~morsel_size:256 ~exec:(Exec.make ~mode ~domains ~stats:mor_anc ()) doc
+              increases
+          in
           Alcotest.(check bool)
             (Printf.sprintf "anc results agree (%s, %d domains)" (Sj.skip_mode_to_string mode)
                domains)
@@ -414,7 +419,7 @@ let test_parallel_counters_match_serial () =
           Alcotest.(check (list (pair string int)))
             (Printf.sprintf "anc counters agree (%s, %d domains)" (Sj.skip_mode_to_string mode)
                domains)
-            (Stats.all_assoc serial_anc) (Stats.all_assoc par_anc))
+            (Stats.all_assoc serial_anc) (Stats.all_assoc mor_anc))
         [ 1; 2; 4 ])
     [ Sj.No_skipping; Sj.Skipping; Sj.Estimation; Sj.Exact_size ]
 
@@ -461,10 +466,10 @@ let () =
             test_analyze_totals_match_trace_stats;
           Alcotest.test_case "json shape" `Quick test_analyze_json_shape;
         ] );
-      ( "parallel parity",
+      ( "morsel parity",
         [
           Alcotest.test_case "merged counters = serial counters" `Quick
-            test_parallel_counters_match_serial;
+            test_morsel_counters_match_serial;
         ] );
       ( "stats rendering",
         [

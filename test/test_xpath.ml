@@ -33,7 +33,7 @@ let strategies =
     { Eval.backend = `Force (Plan.Serial Sj.Estimation); pushdown = `Cost_based };
     { Eval.backend = `Force (Plan.Serial Sj.Exact_size); pushdown = `Cost_based };
     { Eval.backend = `Auto; pushdown = `Cost_based };
-    { Eval.backend = `Force (Plan.Parallel Sj.Estimation); pushdown = `Never };
+    { Eval.backend = `Force (Plan.Morsel Sj.Estimation); pushdown = `Never };
     { Eval.backend = `Force Plan.Naive; pushdown = `Never };
     { Eval.backend = `Force (Plan.Btree { delimiter = true }); pushdown = `Never };
     { Eval.backend = `Force (Plan.Btree { delimiter = false }); pushdown = `Never };
@@ -326,6 +326,14 @@ let test_strategies_agree_on_xmark () =
         (List.tl strategies))
     [ q1; q2; "/descendant::bidder[descendant::increase]" ]
 
+(* every CLI spelling parses; the retired partition-parallel spelling
+   does not *)
+let test_strategy_names_parse () =
+  List.iter
+    (fun name -> check_bool name true (Option.is_some (Eval.strategy_of_string name)))
+    Eval.strategy_names;
+  check_bool "parallel is gone" true (Eval.strategy_of_string "parallel" = None)
+
 let test_q2_rewrite_equivalence () =
   (* the §4.4 manual rewrite: Q2 = /descendant::bidder[descendant::increase] *)
   let d = Lazy.force xmark_doc in
@@ -549,6 +557,7 @@ let () =
       ( "strategies",
         [
           Alcotest.test_case "agree on xmark Q1/Q2" `Quick test_strategies_agree_on_xmark;
+          Alcotest.test_case "strategy names parse" `Quick test_strategy_names_parse;
           Alcotest.test_case "Q2 symmetric rewrite" `Quick test_q2_rewrite_equivalence;
           Alcotest.test_case "pushdown reduces touches" `Quick test_pushdown_reduces_touches;
           Alcotest.test_case "cost model" `Quick test_cost_model_decisions;
