@@ -175,6 +175,106 @@ let test_morsel_deadline () =
   | exception Deadline -> ());
   check_bool "polled at morsel boundaries" true (Atomic.get polls > 1)
 
+(* Morsels of one node: every chunk boundary falls between two nodes, so
+   each copy and no-skip scan is cut at every possible position. *)
+let test_morsel_one_node_morsels () =
+  let d = doc () in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun mode ->
+          let exec = Exec.make ~domains ~mode () in
+          Alcotest.check nodeseq
+            (Printf.sprintf "desc domains=%d mode=%s" domains (Sj.skip_mode_to_string mode))
+            (Sj.desc d (seq [ "b"; "e" ]))
+            (Morsel.desc ~morsel_size:1 ~exec d (seq [ "b"; "e" ]));
+          Alcotest.check nodeseq
+            (Printf.sprintf "anc domains=%d mode=%s" domains (Sj.skip_mode_to_string mode))
+            (Sj.anc d (seq [ "g"; "j" ]))
+            (Morsel.anc ~morsel_size:1 ~exec d (seq [ "g"; "j" ])))
+        all_modes)
+    [ 1; 2; 4 ]
+
+(* The root's descendants are every node below it; it has no
+   ancestors.  A leaf has no descendants and the full root path above. *)
+let test_morsel_root_and_leaf () =
+  let d = doc () in
+  let exec = Exec.make ~domains:2 () in
+  List.iter
+    (fun ctx ->
+      Alcotest.check nodeseq "desc" (Sj.desc d ctx) (Morsel.desc ~morsel_size:2 ~exec d ctx);
+      Alcotest.check nodeseq "anc" (Sj.anc d ctx) (Morsel.anc ~morsel_size:2 ~exec d ctx))
+    [ seq [ "a" ]; seq [ "j" ]; seq [ "a"; "j" ] ];
+  check_int "every node below the root" (Doc.size d (Doc.root d))
+    (Nodeseq.length (Morsel.desc ~exec d (seq [ "a" ])));
+  Alcotest.check nodeseq "root has no ancestors" Nodeseq.empty (Morsel.anc ~exec d (seq [ "a" ]))
+
+(* The submitter helps run its own batch, so a join completes on a pool
+   with no worker domains at all. *)
+let test_morsel_zero_worker_pool () =
+  let d = Lazy.force xmark in
+  let pool = Morsel.Pool.create () in
+  let exec = Exec.make ~domains:4 () in
+  let increases = Nodeseq.of_sorted_array (Doc.tag_positions d "increase") in
+  let profiles = Nodeseq.of_sorted_array (Doc.tag_positions d "profile") in
+  Alcotest.check nodeseq "anc" (Sj.anc d increases)
+    (Morsel.anc ~pool ~morsel_size:64 ~exec d increases);
+  Alcotest.check nodeseq "desc" (Sj.desc d profiles)
+    (Morsel.desc ~pool ~morsel_size:64 ~exec d profiles);
+  check_int "no worker was spawned" 0 (Morsel.Pool.size pool);
+  Morsel.Pool.shutdown pool
+
+let test_pool_grows_never_shrinks () =
+  let pool = Morsel.Pool.create ~workers:1 () in
+  check_int "created" 1 (Morsel.Pool.size pool);
+  Morsel.Pool.ensure pool 3;
+  check_int "grown" 3 (Morsel.Pool.size pool);
+  Morsel.Pool.ensure pool 2;
+  check_int "not shrunk" 3 (Morsel.Pool.size pool);
+  Morsel.Pool.shutdown pool;
+  check_int "stopped" 0 (Morsel.Pool.size pool)
+
+(* A batch runs at most [width] tasks at once however many workers the
+   pool has: that is how [exec.domains] bounds a query. *)
+let test_pool_width_caps_concurrency () =
+  let pool = Morsel.Pool.create ~workers:3 () in
+  List.iter
+    (fun width ->
+      let live = Atomic.make 0 and peak = Atomic.make 0 in
+      Morsel.Pool.submit pool ~width ~n:32 (fun _ ->
+          let now = Atomic.fetch_and_add live 1 + 1 in
+          let rec raise_peak () =
+            let p = Atomic.get peak in
+            if now > p && not (Atomic.compare_and_set peak p now) then raise_peak ()
+          in
+          raise_peak ();
+          for _ = 1 to 1000 do
+            Domain.cpu_relax ()
+          done;
+          Atomic.decr live);
+      check_bool (Printf.sprintf "at most %d wide" width) true (Atomic.get peak <= width))
+    [ 1; 2 ];
+  Morsel.Pool.shutdown pool
+
+(* A task that submits a batch of its own helps run it, so nesting on a
+   busy pool cannot deadlock. *)
+let test_pool_nested_submit () =
+  let pool = Morsel.Pool.create ~workers:2 () in
+  let ran = Atomic.make 0 in
+  Morsel.Pool.submit pool ~width:3 ~n:4 (fun _ ->
+      Morsel.Pool.submit pool ~width:3 ~n:8 (fun _ -> Atomic.incr ran));
+  check_int "every inner task ran" 32 (Atomic.get ran);
+  Morsel.Pool.shutdown pool
+
+(* Shutdown finishes claimable work before the workers exit. *)
+let test_pool_shutdown_finishes_async () =
+  let pool = Morsel.Pool.create () in
+  let ran = Atomic.make false in
+  Morsel.Pool.async pool (fun () -> Atomic.set ran true);
+  check_bool "async grew the pool" true (Morsel.Pool.size pool >= 1);
+  Morsel.Pool.shutdown pool;
+  check_bool "async task ran before shutdown returned" true (Atomic.get ran)
+
 let prop_morsel_agrees =
   List.map
     (fun mode ->
@@ -188,6 +288,22 @@ let prop_morsel_agrees =
           && Nodeseq.equal
                (Morsel.anc ~exec:(Exec.make ~domains:3 ~mode ()) d ctx)
                (Sj.anc ~exec:(Exec.make ~mode ()) d ctx)))
+    all_modes
+
+(* The same agreement on a private pool with no worker domains: the
+   submitter runs every morsel itself. *)
+let prop_morsel_zero_worker_pool =
+  let pool = lazy (Morsel.Pool.create ()) in
+  List.map
+    (fun mode ->
+      QCheck.Test.make ~count:100
+        ~name:(Printf.sprintf "morsel on a zero-worker pool = sequential (%s)" (Sj.skip_mode_to_string mode))
+        (Test_support.doc_with_context_arbitrary ())
+        (fun (d, ctx) ->
+          let pool = Lazy.force pool in
+          let exec = Exec.make ~domains:2 ~mode () in
+          Nodeseq.equal (Morsel.desc ~pool ~morsel_size:4 ~exec d ctx) (Sj.desc ~exec:(Exec.make ~mode ()) d ctx)
+          && Nodeseq.equal (Morsel.anc ~pool ~morsel_size:4 ~exec d ctx) (Sj.anc ~exec:(Exec.make ~mode ()) d ctx)))
     all_modes
 
 (* Σ-tallies parity: morsel counters must merge to the per-node
@@ -215,12 +331,13 @@ let prop_morsel_counter_parity =
                 QCheck.Test.fail_reportf "counters differ:@.morsel %s@.ref %s" (Stats.to_json s_m)
                   (Stats.to_json s_ref)
               else true))
-        [ (1, 4); (4, 4); (4, 32768) ])
+        [ (1, 4); (2, 8); (4, 4); (4, 32768) ])
     all_modes
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    ((prop_fragment_steps_agree :: prop_morsel_agrees) @ prop_morsel_counter_parity)
+    ((prop_fragment_steps_agree :: prop_morsel_agrees)
+    @ prop_morsel_zero_worker_pool @ prop_morsel_counter_parity)
 
 let () =
   Alcotest.run "scj_frag"
@@ -242,6 +359,16 @@ let () =
           Alcotest.test_case "pool re-raises worker exceptions" `Quick
             test_pool_propagates_exceptions;
           Alcotest.test_case "deadline at morsel boundaries" `Quick test_morsel_deadline;
+          Alcotest.test_case "one-node morsels" `Quick test_morsel_one_node_morsels;
+          Alcotest.test_case "root and leaf contexts" `Quick test_morsel_root_and_leaf;
+          Alcotest.test_case "zero-worker pool" `Quick test_morsel_zero_worker_pool;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "grows, never shrinks" `Quick test_pool_grows_never_shrinks;
+          Alcotest.test_case "width caps concurrency" `Quick test_pool_width_caps_concurrency;
+          Alcotest.test_case "nested submit" `Quick test_pool_nested_submit;
+          Alcotest.test_case "shutdown finishes async work" `Quick test_pool_shutdown_finishes_async;
         ] );
       ("properties", qsuite);
     ]
